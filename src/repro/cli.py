@@ -860,7 +860,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--markdown", action="store_true",
                      help="emit EXPERIMENTS.md-style markdown")
     exp.add_argument("--no-cache", action="store_true",
-                     help="ignore and do not update the artifact cache")
+                     help="recompute experiment results: cached results are "
+                          "neither read nor written (trained models are "
+                          "still reused from and saved to the cache)")
     exp.add_argument("--cache-dir",
                      help="artifact cache root (default ~/.cache/repro, "
                           "or $REPRO_CACHE_DIR)")

@@ -11,10 +11,9 @@ from typing import Optional
 
 from repro.cpu.env import CoreEnv, ExecStats, RunResult
 from repro.cpu.memory import DataMemory, FlatMemory
-from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS, execute
+from repro.cpu.semantics import Slot, slot_for
 from repro.cpu.state import RegisterFile
 from repro.errors import SimulationError
-from repro.isa.instructions import DecodedInstr, decode
 from repro.isa.program import Program
 from repro.sim import get_session
 
@@ -37,59 +36,56 @@ class FunctionalCPU:
         self.regs = RegisterFile()
         self.pc = program.base if pc is None else pc
         self.stats = ExecStats()
-        self._decode_cache = {}
+        self._slots = {}
 
     # ------------------------------------------------------------------
-    def _fetch(self, pc: int) -> DecodedInstr:
-        cached = self._decode_cache.get(pc)
+    def _fetch(self, pc: int) -> Slot:
+        cached = self._slots.get(pc)
         if cached is not None:
             return cached
         try:
             word = self.program.word_at(pc)
         except IndexError as exc:
             raise SimulationError(str(exc)) from exc
-        instr = decode(word)
-        self._decode_cache[pc] = instr
-        return instr
+        slot = self._slots[pc] = slot_for(word)
+        return slot
 
     def step(self) -> Optional[str]:
         """Execute one instruction; return a stop reason or ``None``."""
         pc = self.pc
-        instr = self._fetch(pc)
-        name = instr.name
-
-        rs1_val = self.regs.read(instr.rs1)
-        rs2_val = self.regs.read(instr.rs2)
-        outcome = execute(instr, rs1_val, rs2_val, pc)
+        slot = self._fetch(pc)
+        name = slot.name
+        regs = self.regs
+        a, b = regs.read(slot.src1), regs.read(slot.src2)
+        alu, target = slot.ex(a, b, pc)
 
         stop: Optional[str] = None
-        if name in MEM_SIZES:
-            size = MEM_SIZES[name]
-            target = self.env.l2_memory() if name.endswith("_l2") else self.memory
-            if instr.spec.is_load:
-                value = target.load(outcome.alu, size, signed=name in SIGNED_LOADS)
-                self.regs.write(instr.rd, value)
+        if slot.mem:
+            memory = self.env.l2_memory() if slot.l2 else self.memory
+            if slot.mem == 1:
+                regs.write(slot.rd, memory.load(alu, slot.size,
+                                                signed=slot.signed))
                 self.stats.mem_reads += 1
-                if name.endswith("_l2"):
+                if slot.l2:
                     self.env.l2_reads += 1
             else:
-                target.store(outcome.alu, rs2_val, size)
+                memory.store(alu, b, slot.size)
                 self.stats.mem_writes += 1
-                if name.endswith("_l2"):
+                if slot.l2:
                     self.env.l2_writes += 1
         elif name == "ebreak":
             stop = "halt"
         elif name == "trans_bnn":
-            self.env.record("trans_bnn", self.stats.cycles, pc, instr.imm)
+            self.env.record("trans_bnn", self.stats.cycles, pc, slot.imm)
             stop = "trans_bnn"
         elif name == "trigger_bnn":
-            self.env.record("trigger_bnn", self.stats.cycles, pc, instr.imm)
+            self.env.record("trigger_bnn", self.stats.cycles, pc, slot.imm)
         elif name == "mv_neu":
-            self.env.write_transition_neuron(instr.rd, outcome.alu)
-        elif instr.spec.writes_rd:
-            self.regs.write(instr.rd, outcome.alu)
+            self.env.write_transition_neuron(slot.rd, alu)
+        elif slot.dest >= 0:
+            regs.write(slot.dest, alu)
 
-        self.pc = outcome.target if outcome.taken else pc + 4
+        self.pc = pc + 4 if target is None else target
         self.stats.instructions += 1
         self.stats.cycles += 1  # single-cycle model
         self.stats.instr_counts[name] += 1

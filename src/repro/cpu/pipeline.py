@@ -12,53 +12,46 @@ emulates on its neural layers:
 
 Architectural results match :class:`repro.cpu.functional.FunctionalCPU`
 exactly; only the cycle accounting differs.
+
+Simulation design.  Every instruction word is predecoded once into a
+:class:`~repro.cpu.semantics.Slot` — destination and source registers,
+memory access size and flags, the compiled EX closure, whether it stops
+fetch — cached by word, since decode is a pure function of the word.  A
+word is still decoded only when it reaches ID, so a bad word fetched down
+a squashed path raises nothing.  :meth:`PipelinedCPU.run` is one loop, one
+iteration per cycle, evaluating the stages back to front (WB, MEM, EX, ID,
+IF) so each stage consumes its input latch before the stage behind it
+overwrites it.  WB writes the register file before EX reads it, so the
+MEM/WB bypass is the register read itself; only the EX/MEM bypass is
+explicit.  Latches, counters and the PC live in locals during a run, and a
+``finally`` block writes them back: a run that faults leaves exact
+statistics, and one that stops at ``max_cycles`` resumes where it stopped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from typing import Optional
 
 from repro.cpu.env import CoreEnv, ExecStats, RunResult
 from repro.cpu.memory import DataMemory, FlatMemory
-from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS, execute
+from repro.cpu.semantics import (DEST, EX, IMM, L2, MEM, NAME, RD, SIDE,
+                                 SIGNED, SIZE, SRC1, SRC2, STOPS_FETCH,
+                                 slot_for)
 from repro.cpu.state import RegisterFile
-from repro.cpu.trace import PipelineTrace
+from repro.cpu.trace import STAGES, PipelineTrace
 from repro.errors import SimulationError
-from repro.isa.instructions import DecodedInstr, decode
 from repro.isa.program import Program
 from repro.sim import get_session
 
 DEFAULT_MAX_CYCLES = 100_000_000
 
-STAGES = ("IF", "ID", "EX", "MEM", "WB")
+_M = 0xFFFFFFFF
 
-
-@dataclass
-class _IFID:
-    pc: int
-    word: int
-
-
-@dataclass
-class _IDEX:
-    pc: int
-    instr: DecodedInstr
-
-
-@dataclass
-class _EXMEM:
-    pc: int
-    instr: DecodedInstr
-    alu: int
-    store_val: int
-
-
-@dataclass
-class _MEMWB:
-    pc: int
-    instr: DecodedInstr
-    value: int
+#: all four latches empty: IF/ID (pc, word), ID/EX (pc, slot),
+#: EX/MEM (pc, slot, alu, store value), MEM/WB (pc, slot, value);
+#: a None pc is a bubble
+_DRAINED = ((None, 0), (None, None), (None, None, 0, 0), (None, None, 0))
 
 
 class PipelinedCPU:
@@ -86,235 +79,12 @@ class PipelinedCPU:
         self.trace = trace
         self.stats = ExecStats()
 
-        self.if_id: Optional[_IFID] = None
-        self.id_ex: Optional[_IDEX] = None
-        self.ex_mem: Optional[_EXMEM] = None
-        self.mem_wb: Optional[_MEMWB] = None
-
-        self._fetch_enabled = True
+        self._latches = _DRAINED
+        self._fetching = True
         self._stop_reason: Optional[str] = None
         self._resume_pc = 0
-        self._decode_cache = {}
-        #: session tracer, resolved once per run(); None keeps the
-        #: untraced per-cycle cost to a single attribute load + None check
-        self._tracer = None
+        self._slots = {}
 
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _decode(self, word: int) -> DecodedInstr:
-        cached = self._decode_cache.get(word)
-        if cached is None:
-            cached = decode(word)
-            self._decode_cache[word] = cached
-        return cached
-
-    def _forwarded(self, reg: int) -> int:
-        """Operand value for EX with EX/MEM and MEM/WB forwarding."""
-        if reg == 0:
-            return 0
-        if not self.forwarding:
-            # ablated network: the interlock guarantees the register file
-            # already holds the architectural value
-            return self.regs.read(reg)
-        fwd = self.ex_mem
-        if fwd is not None and fwd.instr.spec.writes_rd and fwd.instr.rd == reg:
-            if fwd.instr.spec.is_load:
-                raise SimulationError(
-                    "load-use hazard reached EX; interlock failed"
-                )  # pragma: no cover - guarded by the interlock
-            return fwd.alu
-        fwd_wb = self.mem_wb
-        if fwd_wb is not None and fwd_wb.instr.spec.writes_rd and fwd_wb.instr.rd == reg:
-            return fwd_wb.value
-        return self.regs.read(reg)
-
-    def _consumer_sources(self):
-        if self.if_id is None:
-            return None
-        consumer = self._decode(self.if_id.word)
-        sources = set()
-        if consumer.spec.reads_rs1 and consumer.rs1:
-            sources.add(consumer.rs1)
-        if consumer.spec.reads_rs2 and consumer.rs2:
-            sources.add(consumer.rs2)
-        return sources
-
-    def _raw_hazard(self, new_ex_mem: Optional[_EXMEM],
-                    new_mem_wb: Optional[_MEMWB]) -> bool:
-        """True when the instruction in IF/ID must hold in decode.
-
-        With forwarding, only the load-use case stalls (one bubble: the
-        load's data forwards from MEM/WB).  Without forwarding (ablation),
-        results are visible only through the register file, so the consumer
-        waits until every in-flight producer has written back — two bubbles
-        for a back-to-back dependency in this EX-read design.
-        """
-        sources = self._consumer_sources()
-        if not sources:
-            return False
-        if self.forwarding:
-            producing = new_ex_mem
-            return (producing is not None and producing.instr.spec.is_load
-                    and producing.instr.rd in sources)
-        for latch in (new_ex_mem, new_mem_wb):
-            if (latch is not None and latch.instr.spec.writes_rd
-                    and latch.instr.rd in sources):
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    # one clock cycle
-    # ------------------------------------------------------------------
-    def _cycle(self) -> None:
-        self.stats.cycles += 1
-
-        if self.trace is not None:
-            fetch_pc = self.pc if self._fetch_enabled else None
-            self.trace.capture(self.stats.cycles, {
-                "IF": fetch_pc,
-                "ID": self.if_id.pc if self.if_id else None,
-                "EX": self.id_ex.pc if self.id_ex else None,
-                "MEM": self.ex_mem.pc if self.ex_mem else None,
-                "WB": self.mem_wb.pc if self.mem_wb else None,
-            })
-
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.cpu_cycle(
-                self.stats.cycles,
-                IF=self.pc if self._fetch_enabled else None,
-                ID=self.if_id.pc if self.if_id else None,
-                EX=self.id_ex.pc if self.id_ex else None,
-                MEM=self.ex_mem.pc if self.ex_mem else None,
-                WB=self.mem_wb.pc if self.mem_wb else None,
-                wb_name=self.mem_wb.instr.name if self.mem_wb else None,
-            )
-
-        # ---- WB -------------------------------------------------------
-        wb = self.mem_wb
-        if wb is not None:
-            self.stats.stage_busy["WB"] += 1
-            instr = wb.instr
-            name = instr.name
-            if instr.spec.writes_rd:
-                self.regs.write(instr.rd, wb.value)
-            elif name == "mv_neu":
-                self.env.write_transition_neuron(instr.rd, wb.value)
-            elif name == "trigger_bnn":
-                self.env.record("trigger_bnn", self.stats.cycles, wb.pc, instr.imm)
-            self.stats.instructions += 1
-            self.stats.instr_counts[name] += 1
-            if name == "ebreak":
-                self._stop_reason = "halt"
-                self._resume_pc = wb.pc + 4
-                return
-            if name == "trans_bnn":
-                self.env.record("trans_bnn", self.stats.cycles, wb.pc, instr.imm)
-                self._stop_reason = "trans_bnn"
-                self._resume_pc = wb.pc + 4
-                return
-
-        # ---- MEM ------------------------------------------------------
-        new_mem_wb: Optional[_MEMWB] = None
-        mem = self.ex_mem
-        if mem is not None:
-            self.stats.stage_busy["MEM"] += 1
-            instr = mem.instr
-            name = instr.name
-            value = mem.alu
-            if name in MEM_SIZES:
-                size = MEM_SIZES[name]
-                target = self.env.l2_memory() if name.endswith("_l2") else self.memory
-                if instr.spec.is_load:
-                    value = target.load(mem.alu, size, signed=name in SIGNED_LOADS)
-                    self.stats.mem_reads += 1
-                    if name.endswith("_l2"):
-                        self.env.l2_reads += 1
-                else:
-                    target.store(mem.alu, mem.store_val, size)
-                    self.stats.mem_writes += 1
-                    if name.endswith("_l2"):
-                        self.env.l2_writes += 1
-            new_mem_wb = _MEMWB(pc=mem.pc, instr=instr, value=value)
-
-        # ---- EX -------------------------------------------------------
-        new_ex_mem: Optional[_EXMEM] = None
-        redirect: Optional[int] = None
-        ex = self.id_ex
-        if ex is not None:
-            self.stats.stage_busy["EX"] += 1
-            instr = ex.instr
-            rs1_val = self._forwarded(instr.rs1) if instr.spec.reads_rs1 else 0
-            rs2_val = self._forwarded(instr.rs2) if instr.spec.reads_rs2 else 0
-            outcome = execute(instr, rs1_val, rs2_val, ex.pc)
-            alu = outcome.alu
-            if instr.name == "mv_neu":
-                alu = rs1_val
-            new_ex_mem = _EXMEM(pc=ex.pc, instr=instr, alu=alu, store_val=rs2_val)
-            if outcome.taken:
-                redirect = outcome.target
-
-        # latches EX and MEM produced this cycle become visible next cycle
-        self.ex_mem = new_ex_mem
-        self.mem_wb = new_mem_wb
-
-        if redirect is not None:
-            # Squash the two younger slots (IF/ID and this cycle's fetch)
-            # and steer the PC to the branch target: a 2-cycle penalty.
-            self.stats.flushes += 2
-            if tracer is not None:
-                tracer.instant("cpu.flush", track="cpu.pipeline",
-                               ts=self.stats.cycles, cat="cpu",
-                               cause="control", pc=ex.pc if ex else None,
-                               target=redirect, squashed=2)
-            self.if_id = None
-            self.id_ex = None
-            self.pc = redirect
-            self._fetch_enabled = True
-            return
-
-        # ---- ID -------------------------------------------------------
-        if self._raw_hazard(new_ex_mem, new_mem_wb):
-            self.stats.stalls += 1
-            if tracer is not None:
-                tracer.instant("cpu.stall", track="cpu.pipeline",
-                               ts=self.stats.cycles, cat="cpu",
-                               cause=("load_use" if self.forwarding
-                                      else "raw_interlock"),
-                               pc=self.if_id.pc if self.if_id else None)
-            self.id_ex = None  # bubble into EX; IF/ID and PC hold
-            return
-
-        if self.if_id is not None:
-            self.stats.stage_busy["ID"] += 1
-            instr = self._decode(self.if_id.word)
-            self.id_ex = _IDEX(pc=self.if_id.pc, instr=instr)
-            self.if_id = None
-            if instr.name in ("ebreak", "trans_bnn"):
-                self._fetch_enabled = False
-        else:
-            self.id_ex = None
-
-        # ---- IF -------------------------------------------------------
-        if self._fetch_enabled:
-            try:
-                word = self.program.word_at(self.pc)
-            except IndexError as exc:
-                # Speculative fetch past the program end is fine while an
-                # older in-flight control transfer may still redirect the PC;
-                # it is an error only once the pipeline has fully drained.
-                if (self.if_id is None and self.id_ex is None
-                        and self.ex_mem is None and self.mem_wb is None):
-                    raise SimulationError(
-                        f"instruction fetch outside program: {exc}"
-                    ) from exc
-                return
-            self.stats.stage_busy["IF"] += 1
-            self.if_id = _IFID(pc=self.pc, word=word)
-            self.pc += 4
-
-    # ------------------------------------------------------------------
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> RunResult:
         """Run until halt / mode switch / cycle limit.
 
@@ -322,22 +92,200 @@ class PipelinedCPU:
         session :class:`~repro.sim.StatsRegistry` under ``cpu.pipeline.*``
         and emit a ``cpu.run`` probe event.
         """
-        before = self.stats.scalars()
+        stats = self.stats
+        before = stats.scalars()
         session = get_session()
+        # resolved once per run: untraced, a cycle pays one bool check
         tracer = session.tracer
-        self._tracer = tracer if tracer is not None and tracer.active else None
-        while self._stop_reason is None and self.stats.cycles < max_cycles:
-            self._cycle()
-        reason = self._stop_reason or "max_cycles"
-        pc = self._resume_pc if self._stop_reason else self.pc
-        delta = self.stats.delta(before)
+        if tracer is not None and not tracer.active:
+            tracer = None
+        capture = self.trace
+        observed = tracer is not None or capture is not None
+        forwarding = self.forwarding
+        program, memory, env = self.program, self.memory, self.env
+        fetched = {}  # pc -> word, filled by this run's fetches
+        slots = self._slots
+        regs = self.regs._regs
+
+        cycles, instructions = stats.cycles, stats.instructions
+        stalls, flushes = stats.stalls, stats.flushes
+        reads, writes = stats.mem_reads, stats.mem_writes
+        busy_if = busy_id = busy_ex = busy_mem = busy_wb = 0
+        retired = defaultdict(int)
+        pc, fetching, stop = self.pc, self._fetching, self._stop_reason
+        resume_pc = self._resume_pc
+        # latch locals: f_ IF/ID (fetched), d_ ID/EX (decoded),
+        # e_ EX/MEM (executed), w_ MEM/WB (to write back)
+        ((f_pc, f_word), (d_pc, d_slot), (e_pc, e_slot, e_alu, e_store),
+         (w_pc, w_slot, w_val)) = self._latches
+        try:
+            while stop is None and cycles < max_cycles:
+                cycles += 1
+                if observed:
+                    stages = {"IF": pc if fetching else None, "ID": f_pc,
+                              "EX": d_pc, "MEM": e_pc, "WB": w_pc}
+                    if capture is not None:
+                        capture.capture(cycles, stages)
+                    if tracer is not None:
+                        tracer.cpu_cycle(cycles, **stages, wb_name=(
+                            w_slot[NAME] if w_pc is not None else None))
+
+                # ---- WB -----------------------------------------------
+                if w_pc is not None:
+                    busy_wb += 1
+                    if w_slot[DEST] >= 0:
+                        regs[w_slot[DEST]] = w_val
+                    elif w_slot[SIDE]:
+                        if w_slot[NAME] == "mv_neu":
+                            env.write_transition_neuron(w_slot[RD], w_val)
+                        elif w_slot[NAME] != "ebreak":
+                            env.record(w_slot[NAME], cycles, w_pc, w_slot[IMM])
+                    instructions += 1
+                    retired[w_slot[NAME]] += 1
+                    if w_slot[STOPS_FETCH]:
+                        stop = "halt" if w_slot[NAME] == "ebreak" else "trans_bnn"
+                        resume_pc = w_pc + 4
+                        break
+
+                # ---- MEM ----------------------------------------------
+                if e_pc is not None:
+                    busy_mem += 1
+                    if e_slot[MEM]:
+                        target = env.l2_memory() if e_slot[L2] else memory
+                        if e_slot[MEM] == 1:
+                            w_val = target.load(e_alu, e_slot[SIZE],
+                                                signed=e_slot[SIGNED]) & _M
+                            reads += 1
+                            if e_slot[L2]:
+                                env.l2_reads += 1
+                        else:
+                            target.store(e_alu, e_store, e_slot[SIZE])
+                            w_val = e_alu
+                            writes += 1
+                            if e_slot[L2]:
+                                env.l2_writes += 1
+                    else:
+                        w_val = e_alu
+                    w_pc, w_slot = e_pc, e_slot
+                else:
+                    w_pc = None
+
+                # ---- EX (e_* still holds the instruction now in MEM) ----
+                redirect = None
+                if d_pc is not None:
+                    busy_ex += 1
+                    src1, src2 = d_slot[SRC1], d_slot[SRC2]
+                    a, b = regs[src1], regs[src2]
+                    # (a dest of -1 never matches a source register)
+                    if forwarding and e_pc is not None and (
+                            e_slot[DEST] == src1 or e_slot[DEST] == src2):
+                        if e_slot[MEM] == 1:
+                            raise SimulationError(
+                                "load-use hazard reached EX; interlock "
+                                "failed")  # pragma: no cover - interlocked
+                        if e_slot[DEST] == src1:
+                            a = e_alu
+                        if e_slot[DEST] == src2:
+                            b = e_alu
+                    e_alu, redirect = d_slot[EX](a, b, d_pc)
+                    e_pc, e_slot, e_store = d_pc, d_slot, b
+                else:
+                    e_pc = None
+
+                if redirect is not None:
+                    # Squash the two younger slots (IF/ID and this cycle's
+                    # fetch) and steer the PC to the target: a 2-cycle penalty.
+                    flushes += 2
+                    if tracer is not None:
+                        tracer.instant("cpu.flush", track="cpu.pipeline",
+                                       ts=cycles, cat="cpu", cause="control",
+                                       pc=d_pc, target=redirect, squashed=2)
+                    f_pc = d_pc = None
+                    pc = redirect
+                    fetching = True
+                    continue
+
+                # ---- ID -----------------------------------------------
+                if f_pc is not None:
+                    slot = slots.get(f_word)
+                    if slot is None:
+                        slot = slots[f_word] = slot_for(f_word)
+                    # With forwarding only a load just entering MEM stalls
+                    # its consumer (one bubble); without it, the consumer
+                    # waits until every in-flight producer has written back.
+                    src1, src2 = slot[SRC1], slot[SRC2]
+                    if forwarding:
+                        hazard = (e_pc is not None and e_slot[MEM] == 1 and (
+                            e_slot[DEST] == src1 or e_slot[DEST] == src2))
+                    else:
+                        hazard = (e_pc is not None and (
+                            e_slot[DEST] == src1 or e_slot[DEST] == src2)) or (
+                            w_pc is not None and (
+                                w_slot[DEST] == src1 or w_slot[DEST] == src2))
+                    if hazard:
+                        stalls += 1
+                        if tracer is not None:
+                            tracer.instant(
+                                "cpu.stall", track="cpu.pipeline", ts=cycles,
+                                cat="cpu", cause=("load_use" if forwarding
+                                                  else "raw_interlock"),
+                                pc=f_pc)
+                        d_pc = None  # bubble into EX; IF/ID and PC hold
+                        continue
+                    busy_id += 1
+                    d_pc, d_slot = f_pc, slot
+                    f_pc = None
+                    if slot[STOPS_FETCH]:
+                        fetching = False
+                else:
+                    d_pc = None
+
+                # ---- IF -----------------------------------------------
+                if fetching:
+                    word = fetched.get(pc)
+                    if word is None:
+                        try:
+                            word = fetched[pc] = program.word_at(pc)
+                        except IndexError as exc:
+                            # Speculative fetch past the program end is fine
+                            # while an older control transfer may still
+                            # redirect the PC; it is an error once the
+                            # pipeline has drained.
+                            if (f_pc is None and d_pc is None and e_pc is None
+                                    and w_pc is None):
+                                raise SimulationError(
+                                    f"instruction fetch outside program: {exc}"
+                                ) from exc
+                            continue
+                    busy_if += 1
+                    f_pc, f_word = pc, word
+                    pc += 4
+        finally:
+            stats.cycles, stats.instructions = cycles, instructions
+            stats.stalls, stats.flushes = stalls, flushes
+            stats.mem_reads, stats.mem_writes = reads, writes
+            for stage, count in zip(STAGES, (busy_if, busy_id, busy_ex,
+                                             busy_mem, busy_wb)):
+                if count:
+                    stats.stage_busy[stage] += count
+            for name, count in retired.items():
+                stats.instr_counts[name] += count
+            self.pc, self._fetching = pc, fetching
+            self._stop_reason, self._resume_pc = stop, resume_pc
+            self._latches = ((f_pc, f_word), (d_pc, d_slot),
+                             (e_pc, e_slot, e_alu, e_store),
+                             (w_pc, w_slot, w_val))
+
+        reason = stop or "max_cycles"
+        delta = stats.delta(before)
         registry = session.stats
         scope = registry.scope("cpu.pipeline")
         scope.incr("runs")
         scope.incr_many(delta)
         registry.emit("cpu.run", simulator="pipeline", stop_reason=reason,
                       **delta)
-        return RunResult(stats=self.stats, stop_reason=reason, pc=pc, env=self.env)
+        return RunResult(stats=stats, stop_reason=reason,
+                         pc=resume_pc if stop else pc, env=self.env)
 
 
 def run_pipelined(

@@ -265,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--markdown", action="store_true",
                         help="emit EXPERIMENTS.md-style markdown")
     parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update the artifact cache")
+                        help="recompute experiment results: cached results are "
+                             "neither read nor written (trained models are "
+                             "still reused from and saved to the cache)")
     parser.add_argument("--cache-dir",
                         help="artifact cache root (default ~/.cache/repro, "
                              "or $REPRO_CACHE_DIR)")

@@ -4,46 +4,50 @@ The metrics layer is built entirely from ``StatsRegistry.snapshot()``
 diffs taken before and after the run — the pipeline never sees a metrics
 object, so a run with a recorder attached does at most snapshot work at
 the boundaries. The acceptance bound in the issue is "<= 1 attribute
-check on the hot path"; the design does zero, and this test pins the
-wall-clock consequence with a generous CI-noise ceiling.
+check on the hot path"; the design does zero, and these tests pin that
+structurally: the source never names metrics, and the registry is
+touched the same number of times whatever the run's length.
 """
 
-import time
+from collections import Counter
 
 from repro.cpu import PipelinedCPU
 from repro.isa import assemble
 from repro.metrics import MetricsRecorder
-from repro.sim import use_session
+from repro.sim import SimSession, StatsRegistry, use_session
 from repro.workloads.dhrystone import dhrystone_asm
 
-REPEATS = 3
-ITERATIONS = 30
+
+class CountingRegistry(StatsRegistry):
+    """A stats registry that counts every public attribute read off it."""
+
+    def __init__(self):
+        self.touches = Counter()
+        super().__init__()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and name != "touches":
+            object.__getattribute__(self, "touches")[name] += 1
+        return object.__getattribute__(self, name)
 
 
-def best_run_time(program, recorder_factory=None) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
+def recorded_registry_touches(iterations: int):
+    program = assemble(dhrystone_asm(iterations=iterations))
+    registry = CountingRegistry()
+    with use_session(SimSession(stats=registry)) as session:
         cpu = PipelinedCPU(program)
-        start = time.perf_counter()
-        if recorder_factory is None:
+        registry.touches.clear()
+        with MetricsRecorder(session):
             cpu.run()
-        else:
-            with recorder_factory():
-                cpu.run()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return cpu.stats.cycles, registry.touches
 
 
-def test_recorder_overhead_is_small():
-    program = assemble(dhrystone_asm(iterations=ITERATIONS))
-    with use_session():
-        baseline = best_run_time(program)
-    with use_session() as session:
-        recorded = best_run_time(
-            program, recorder_factory=lambda: MetricsRecorder(session))
-    assert recorded <= baseline * 1.5 + 1e-3, (
-        f"metrics recording cost {recorded / baseline:.2f}x "
-        f"({baseline:.4f}s -> {recorded:.4f}s)")
+def test_recorder_touches_registry_per_run_not_per_cycle():
+    short_cycles, short = recorded_registry_touches(2)
+    long_cycles, long = recorded_registry_touches(30)
+    assert long_cycles > 10 * short_cycles
+    assert long == short, (short, long)
+    assert long["snapshot"] == long["diff"] == 1
 
 
 def test_hot_loop_has_no_metrics_reference():

@@ -715,3 +715,69 @@ class TestDeviceProfileCli:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "* mcxn947-neutron" in out
+
+
+class TestExperimentsNoCache:
+    """``--no-cache`` bypasses cached results only; models stay cached."""
+
+    def test_results_skipped_models_reused(self, tmp_path, monkeypatch,
+                                           capsys):
+        from repro.experiments import registry
+        from repro.experiments.common import ExperimentResult
+        from repro.experiments.models import MODEL_NAMESPACE
+        from repro.experiments.runner import RESULT_NAMESPACE
+        from repro.sim import get_session
+
+        trained = []
+
+        def probe():
+            get_session().cache.fetch(MODEL_NAMESPACE, "no-cache-probe",
+                                      lambda: trained.append(1) or "model")
+            result = ExperimentResult("no_cache_probe", "probe")
+            result.add("trainings", len(trained))
+            return result
+
+        registry.discover()
+        monkeypatch.setitem(registry._REGISTRY, "no_cache_probe",
+                            registry.ExperimentSpec("no_cache_probe", probe))
+        argv = ["experiments", "no_cache_probe", "--cache-dir", str(tmp_path)]
+        for _ in range(2):
+            assert main(argv + ["--no-cache"]) == 0
+        assert trained == [1]  # the second run reused the cached model
+        assert len(list((tmp_path / MODEL_NAMESPACE).glob("*.pkl"))) == 1
+        assert not (tmp_path / RESULT_NAMESPACE).exists()
+        assert main(argv) == 0
+        assert len(list((tmp_path / RESULT_NAMESPACE).glob("*.pkl"))) == 1
+        capsys.readouterr()
+
+    def test_help_says_models_stay_cached(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiments", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "neither read nor written" in help_text
+        assert "trained models are still reused" in help_text
+
+
+class TestHermeticCache:
+    def test_cli_run_leaves_user_cache_untouched(self, tmp_path):
+        """Under the suite, a CLI run writes only the per-session cache."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        home = tmp_path / "home"
+        home.mkdir()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, HOME=str(home), PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "experiments", "fig13", "--json"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert not (home / ".cache").exists()
+        session_cache = Path(os.environ["REPRO_CACHE_DIR"])
+        assert session_cache.parent == tmp_path.parent
+        assert list((session_cache / "results").glob("*.pkl"))
