@@ -8,14 +8,8 @@ from repro.bnn.accelerator import (
     LAYER_OVERHEAD_CYCLES,
 )
 from repro.bnn.batched import (
-    PackedLayer,
-    PackedModel,
     batched_predict,
     batched_scores,
-    pack_bits64,
-    pack_sign_rows,
-    packed_model,
-    popcount64,
     predict_with_engine,
 )
 from repro.bnn.datasets import (
@@ -56,14 +50,8 @@ __all__ = [
     "synthetic_motion",
     "BNNLayer",
     "BNNModel",
-    "PackedLayer",
-    "PackedModel",
     "batched_predict",
     "batched_scores",
-    "pack_bits64",
-    "pack_sign_rows",
-    "packed_model",
-    "popcount64",
     "predict_with_engine",
     "binarize_sign",
     "bits_to_sign",

@@ -194,11 +194,11 @@ class BNNAccelerator:
 
         ``engine`` selects the functional kernel through the
         :mod:`repro.engine` registry — any registered name (``accurate``,
-        ``fast``, ``parallel``, ...) or engine object; ``None`` follows
-        the session's ``SimConfig.engine``.  Every engine classifies
-        identically, and the timing/probe accounting (``bnn.batch``,
-        cycle/MAC counters) is engine-independent — the fast engines
-        change how long the *simulation* takes, never what it reports.
+        ``fast``) or engine object; ``None`` follows the session's
+        ``SimConfig.engine``.  Every engine classifies identically, and
+        the timing/probe accounting (``bnn.batch``, cycle/MAC counters)
+        is engine-independent — the fast engine changes how long the
+        *simulation* takes, never what it reports.
         """
         from repro.engine import resolve_engine
 

@@ -1,32 +1,34 @@
-"""Bit-packed batched XNOR-popcount inference (the BNN fast path).
+"""Exact whole-batch BNN inference (the BNN half of the ``fast`` engine).
 
 The scalar path (:meth:`BNNModel.scores`) evaluates one image at a time
-with int32 matmuls.  Real binary accelerators instead pack signs into
-machine words and replace the multiply-accumulate with XNOR + popcount
-over wide registers (XNOR Neural Engine, XNORBIN); this module mirrors
-that in numpy: weights and activations live in little-endian **uint64**
-words and whole image batches flow through all layers at once.
+with int32 matmuls.  Binary accelerators compute the same dot products
+as XNOR + popcount (XNOR Neural Engine, XNORBIN); on a host, the fastest
+way to do that arithmetic is one float32 GEMM per layer over the whole
+batch.  With ±1 weights ``W`` and sign inputs written as ``x = 2a − 1``
+for unit bits ``a ∈ {0,1}``,
 
-The arithmetic is exact, not approximate.  For sign vectors ``a, b`` of
-length ``n`` packed with equal zero padding,
+    W·x + b = 2·(a @ Wᵀ) − rowsum(W) + b
 
-    dot(a, b) = n - 2 * popcount(a XOR b)
+so a hidden layer's sign threshold becomes ``a @ Wᵀ ≥ (rowsum(W) − b)/2``
+and the classifier's scores are ``2·(a @ Wᵀ) − rowsum(W) + b``.
 
-because padding bits are equal in both operands and therefore never
-contribute to the XOR.  Every pre-activation is computed in integers, so
+The arithmetic is exact, not approximate.  Every partial sum of
+``a @ Wᵀ`` is an integer of magnitude ≤ fan_in, and float32 represents
+integers exactly up to 2**24, so the GEMM is exact while
+``fan_in < GEMM_MAX_FAN_IN`` (2**23, a safety factor of 2).  Thresholds
+are half-integers, exact in float32 below 2**23 and, beyond that, on the
+far side of every reachable accumulator value.  The classifier's scores
+are finished in int32 from the exact accumulator, so
 :func:`batched_scores` is **bit-identical** to the scalar path — the
 differential suite in ``tests/bnn/test_batched_equivalence.py`` pins
-this for every topology shape.
+this for every topology shape.  A model with a layer at or above the
+bound is handed to the ``accurate`` engine's int32 BNN half instead.
 
-This module is the BNN half of the registered ``fast`` engine:
-:class:`BatchedBNNHalf` plugs the kernels into the
-:class:`~repro.engine.ExecutionEngine` assembled in
-:mod:`repro.cpu.fastpath`.  Callers normally go through
-:meth:`BNNAccelerator.infer_batch(..., engine=...)
-<repro.bnn.accelerator.BNNAccelerator.infer_batch>` or
+Callers normally go through :meth:`BNNAccelerator.infer_batch(...,
+engine=...) <repro.bnn.accelerator.BNNAccelerator.infer_batch>` or
 :func:`predict_with_engine`, which resolve through the engine registry
 and default to the session's ``SimConfig.engine`` (``repro run
---engine fast``, ``REPRO_ENGINE``).
+--engine fast``, ``REPRO_ENGINE``).  See ``docs/KERNELS.md``.
 """
 
 from __future__ import annotations
@@ -41,127 +43,79 @@ from repro.bnn import quantize as q
 from repro.bnn.model import BNNModel
 from repro.errors import ConfigurationError
 
-#: bits per packed word of the fast path (the scalar accelerator model
-#: packs uint32; the software fast path uses the widest numpy integer)
-WORD_BITS = 64
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-
-def popcount64(words: np.ndarray) -> np.ndarray:
-    """Per-element population count of uint64 values (int64 result)."""
-    words = np.asarray(words, dtype=np.uint64)
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).astype(np.int64)
-    # numpy < 2.0 fallback: count per byte through the uint32 table path
-    as_u32 = words.view(np.uint32).reshape(words.shape + (2,))
-    return q.popcount32(as_u32).sum(axis=-1)
-
-
-def pack_bits64(bits: np.ndarray) -> np.ndarray:
-    """Pack a trailing axis of {0,1} into little-endian uint64 words.
-
-    The 64-bit twin of :func:`repro.bnn.quantize.pack_bits`: the last
-    axis is zero-padded up to a multiple of 64 and bit ``i`` of word
-    ``w`` holds element ``64*w + i``.
-    """
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    n = bits.shape[-1]
-    n_words = (n + WORD_BITS - 1) // WORD_BITS
-    padded = np.zeros(bits.shape[:-1] + (n_words * WORD_BITS,), dtype=np.uint8)
-    padded[..., :n] = bits
-    packed_bytes = np.packbits(padded, axis=-1, bitorder="little")
-    return packed_bytes.view(np.uint64)
-
-
-def pack_sign_rows(x_signs: np.ndarray) -> np.ndarray:
-    """Pack sign-domain rows ``(batch, n)`` into ``(batch, words)`` uint64."""
-    return pack_bits64(q.sign_to_bits(x_signs))
+#: largest fan-in (exclusive) for which the float32 GEMM is exact: every
+#: partial sum is an integer of magnitude < 2**24 (float32's exact
+#: integer range), with headroom for the half-integer thresholds
+GEMM_MAX_FAN_IN = 1 << 23
 
 
 @dataclass(frozen=True)
-class PackedLayer:
-    """One layer's weights bit-packed for the batched kernel."""
+class GemmLayer:
+    """One layer lowered for the float32 GEMM kernel."""
 
-    words: np.ndarray  # (fan_out, n_words) uint64
+    weights_t: np.ndarray  # (fan_in, fan_out) float32, ±1, C-contiguous
+    weight_sums: np.ndarray  # (fan_out,) int32 — row sums of W
     bias: np.ndarray  # (fan_out,) int32
-    fan_in: int
-    fan_out: int
-
-    def pre_activation(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Integer pre-activations ``W x + b`` for a packed input batch.
-
-        ``packed_inputs`` is ``(batch, n_words)`` uint64; the result is
-        ``(batch, fan_out)`` int64, exactly equal to the sign-domain
-        matmul of the scalar path.
-        """
-        words = self.words
-        if _HAS_BITWISE_COUNT:
-            # word-at-a-time over 2-D contiguous arrays: ~9x faster than
-            # one 3-D (batch, fan_out, n_words) broadcast on typical sizes
-            mismatches = np.bitwise_count(
-                packed_inputs[:, 0, None] ^ words[None, :, 0]
-            ).astype(np.int64)
-            for w in range(1, words.shape[1]):
-                mismatches += np.bitwise_count(
-                    packed_inputs[:, w, None] ^ words[None, :, w])
-        else:
-            xor = packed_inputs[:, None, :] ^ words[None, :, :]
-            mismatches = popcount64(xor).sum(axis=-1)
-        return self.fan_in - 2 * mismatches + self.bias.astype(np.int64)
+    thresholds: np.ndarray  # (fan_out,) float32 — (sums − bias) / 2
 
 
-class PackedModel:
-    """A :class:`BNNModel` lowered to packed uint64 weight words."""
+class GemmModel:
+    """A :class:`BNNModel` lowered to float32 GEMM operands."""
 
-    def __init__(self, layers: List[PackedLayer]):
-        if not layers:
-            raise ConfigurationError("PackedModel needs at least one layer")
-        self.layers = list(layers)
-
-    @classmethod
-    def from_model(cls, model: BNNModel) -> "PackedModel":
-        layers = []
+    def __init__(self, model: BNNModel):
+        self.layers: List[GemmLayer] = []
         for layer in model.layers:
-            layers.append(PackedLayer(
-                words=pack_bits64(q.sign_to_bits(layer.weights)),
-                bias=layer.bias.astype(np.int32),
-                fan_in=layer.fan_in,
-                fan_out=layer.fan_out,
+            sums = layer.weights.sum(axis=1, dtype=np.int32)
+            bias = layer.bias.astype(np.int32)
+            self.layers.append(GemmLayer(
+                weights_t=np.ascontiguousarray(
+                    layer.weights.T, dtype=np.float32),
+                weight_sums=sums,
+                bias=bias,
+                # halved in float64 (exact), then rounded once; rounding
+                # is monotone, so integer accumulators compare the same
+                thresholds=((sums.astype(np.float64) - bias) / 2.0
+                            ).astype(np.float32),
             ))
-        return cls(layers)
 
-    @property
-    def input_size(self) -> int:
-        return self.layers[0].fan_in
+    def _bits(self, x01: np.ndarray, layers: List[GemmLayer]) -> np.ndarray:
+        for layer in layers:
+            x01 = (x01 @ layer.weights_t >= layer.thresholds).astype(
+                np.float32)
+        return x01
 
-    @property
-    def n_classes(self) -> int:
-        return self.layers[-1].fan_out
+    def scores(self, x01: np.ndarray) -> np.ndarray:
+        """Integer class scores ``(batch, n_classes)`` for unit-bit rows."""
+        last = self.layers[-1]
+        # exact integers in float32, so the int32 conversion is lossless
+        acc = (self._bits(x01, self.layers[:-1]) @ last.weights_t).astype(
+            np.int32)
+        return 2 * acc - last.weight_sums + last.bias
 
-    def scores(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Class scores ``(batch, n_classes)`` for a packed input batch."""
-        activation = packed_inputs
-        for layer in self.layers[:-1]:
-            pre = layer.pre_activation(activation)
-            activation = pack_bits64((pre >= 0).astype(np.uint8))
-        return self.layers[-1].pre_activation(activation).astype(np.int32)
+    def hidden(self, x01: np.ndarray) -> np.ndarray:
+        """Sign activations after every layer for unit-bit rows."""
+        return q.bits_to_sign(self._bits(x01, self.layers))
 
 
-#: packed-weight cache: packing is O(weights) and models are immutable in
-#: practice, so one packed copy per live model instance is kept (weakly —
-#: dropping the model drops its packed twin)
-_PACKED_CACHE: "weakref.WeakKeyDictionary[BNNModel, PackedModel]" = \
+#: lowered-model cache: lowering is O(weights) and models are immutable
+#: in practice, so one lowered copy per live model instance is kept
+#: (weakly — dropping the model drops its lowering)
+_GEMM_CACHE: "weakref.WeakKeyDictionary[BNNModel, GemmModel]" = \
     weakref.WeakKeyDictionary()
 
 
-def packed_model(model: BNNModel) -> PackedModel:
-    """The (cached) :class:`PackedModel` lowering of ``model``."""
-    packed = _PACKED_CACHE.get(model)
-    if packed is None:
-        packed = PackedModel.from_model(model)
-        _PACKED_CACHE[model] = packed
-    return packed
+def gemm_model(model: BNNModel) -> GemmModel:
+    """The (cached) :class:`GemmModel` lowering of ``model``."""
+    lowered = _GEMM_CACHE.get(model)
+    if lowered is None:
+        lowered = GemmModel(model)
+        _GEMM_CACHE[model] = lowered
+    return lowered
+
+
+def gemm_exact(model: BNNModel) -> bool:
+    """True when every layer's fan-in is below :data:`GEMM_MAX_FAN_IN`."""
+    return max(layer.fan_in for layer in model.layers) < GEMM_MAX_FAN_IN
 
 
 def _as_sign_batch(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
@@ -175,40 +129,46 @@ def _as_sign_batch(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
 
 
 def encode_batch(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-    """Validate a sign batch against ``model`` and bit-pack its rows.
+    """Validate a sign batch against ``model``; its float32 {0,1} rows.
 
-    The one input-encoding step of the fast path, shared by the serial
-    kernels and the parallel engine's shard workers so both sides encode
-    identically (same validation, same packing).
+    The one input-conversion step of the GEMM kernel: sign domain and
+    shape are checked, then ``+1 -> 1`` and ``-1 -> 0``.
     """
-    return pack_sign_rows(_as_sign_batch(model, x_signs))
+    return (_as_sign_batch(model, x_signs) > 0).astype(np.float32)
+
+
+def _int32_half():
+    """The ``accurate`` engine, whose int32 BNN half scores models too
+    wide for the exact GEMM."""
+    from repro.engine.accurate import AccurateEngine
+
+    return AccurateEngine()
 
 
 def batched_scores(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
     """Integer class scores ``(batch, n_classes)``, bit-identical to the
     scalar path (``np.stack([model.scores(x) for x in x_signs])``)."""
-    return packed_model(model).scores(encode_batch(model, x_signs))
+    if not gemm_exact(model):
+        return _int32_half().scores(model, _as_sign_batch(model, x_signs))
+    return gemm_model(model).scores(encode_batch(model, x_signs))
 
 
 def batched_predict(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-    """Vectorized argmax classification through the packed kernels."""
+    """Vectorized argmax classification through the GEMM kernel."""
     return np.argmax(batched_scores(model, x_signs), axis=1)
 
 
 def batched_hidden_forward(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-    """Sign activations after *every* layer through the packed kernels.
+    """Sign activations after *every* layer through the GEMM kernel.
 
     Bit-identical to :meth:`BNNModel.hidden_forward_batch` — the integer
-    pre-activations are exact, so thresholding at zero lands on the same
-    signs.  Used when this model is the front half of a two-core chain.
+    accumulators are exact, so thresholding lands on the same signs.
+    Used when this model is the front half of a two-core chain.
     """
-    x = _as_sign_batch(model, x_signs)
-    packed = pack_sign_rows(x)
-    bits = np.zeros((x.shape[0], 0), dtype=np.uint8)
-    for layer in packed_model(model).layers:
-        bits = (layer.pre_activation(packed) >= 0).astype(np.uint8)
-        packed = pack_bits64(bits)
-    return q.bits_to_sign(bits)
+    if not gemm_exact(model):
+        return _int32_half().hidden_forward(
+            model, _as_sign_batch(model, x_signs))
+    return gemm_model(model).hidden(encode_batch(model, x_signs))
 
 
 class BatchedBNNHalf:

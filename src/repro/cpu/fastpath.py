@@ -486,7 +486,7 @@ def run_fastpath(
 
 @register_engine
 class FastEngine(BatchedBNNHalf, ExecutionEngine):
-    """The ``fast`` engine: :class:`FastCPU` + bit-packed BNN kernels.
+    """The ``fast`` engine: :class:`FastCPU` + the exact GEMM BNN kernel.
 
     CPU half registered here; BNN half provided by
     :class:`~repro.bnn.batched.BatchedBNNHalf`.  Instruction-accurate
@@ -494,10 +494,10 @@ class FastEngine(BatchedBNNHalf, ExecutionEngine):
     """
 
     name = "fast"
-    description = ("basic-block interpreter (single-cycle timing) and "
-                   "bit-packed whole-batch XNOR-popcount BNN kernels")
+    description = ("superblock interpreter (single-cycle timing) and "
+                   "exact whole-batch float32 GEMM BNN inference")
     capabilities = EngineCapabilities(
-        timing_accurate=False, functional=True, batched=True, sharded=False,
+        timing_accurate=False, functional=True, batched=True,
         phase_attribution=True)
 
     def create_cpu(self, program: Program,

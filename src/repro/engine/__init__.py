@@ -8,13 +8,10 @@ engines:
 
 * ``accurate`` — scalar golden-model BNN path + cycle-accurate pipeline
   (:mod:`repro.engine.accurate`); the timing oracle.
-* ``fast`` — basic-block interpreter (:mod:`repro.cpu.fastpath`) +
-  bit-packed whole-batch XNOR-popcount kernels
-  (:mod:`repro.bnn.batched`).
-* ``parallel`` — the fast engine with whole-batch inference sharded
-  across host processes (:mod:`repro.bnn.parallel`).
+* ``fast`` — superblock interpreter (:mod:`repro.cpu.fastpath`) +
+  the exact whole-batch float32 GEMM kernel (:mod:`repro.bnn.batched`).
 
-All engines are bit-identical on architectural results; only how fast
+Both engines are bit-identical on architectural results; only how fast
 the *simulation* runs on the host (and whether cycle counts are
 pipeline-accurate) differs.  Select one with ``SimConfig.engine``,
 ``--engine`` or ``REPRO_ENGINE``; resolve with :func:`resolve_engine`.

@@ -27,8 +27,6 @@ from repro.errors import ConfigurationError
 PROVIDER_MODULES = (
     "repro.engine.accurate",
     "repro.cpu.fastpath",
-    "repro.bnn.parallel",
-    "repro.bnn.vectorized",
 )
 
 _REGISTRY: Dict[str, ExecutionEngine] = {}

@@ -242,7 +242,7 @@ def _bench_bnn_infer(quick: bool) -> Dict[str, float]:
 
 
 #: model reused across repeats so the batched benches measure steady-state
-#: throughput (weights bit-packed once, like a deployed classifier)
+#: throughput (weights lowered once, like a deployed classifier)
 _BATCHED_MODEL = None
 
 
@@ -251,8 +251,7 @@ def _register_batch_infer_bench(name: str, engine: str, *, n_quick: int,
     """Register a whole-batch inference bench for one registered engine.
 
     All batch benches share the scenario's model and input recipe, so
-    their numbers are directly comparable across engines (fast vs
-    parallel).
+    their numbers are directly comparable across engines.
     """
     scenario = _bnn_scenario(name, engine, n_full)
 
@@ -275,12 +274,8 @@ def _register_batch_infer_bench(name: str, engine: str, *, n_quick: int,
 
 _register_batch_infer_bench(
     "bnn.batched.infer", "fast", n_quick=200, n_full=2000,
-    help="batched bit-packed XNOR-popcount inference throughput "
-         "(--engine fast), timing accounting included")
-_register_batch_infer_bench(
-    "bnn.parallel.infer", "parallel", n_quick=200, n_full=4000,
-    help="process-sharded whole-batch inference throughput (--engine "
-         "parallel; serial fallback below the sharding threshold)")
+    help="whole-batch exact GEMM inference throughput (--engine fast), "
+         "timing accounting included")
 
 
 #: prebuilt (engine, model, inputs) per kernel bench + batch size, so the
@@ -293,11 +288,10 @@ def _register_kernel_scores_bench(name: str, engine: str, *, n_quick: int,
     """Register a scoring-kernel bench for one registered engine.
 
     Unlike :func:`_register_batch_infer_bench`, the model and inputs are
-    built (and the engine's packed/lowered caches warmed) *outside* the
+    built (and the engine's lowering cache warmed) *outside* the
     timed region, and no accelerator timing model runs — the measured
     call is exactly one ``engine.scores`` over the scenario's batch, so
-    kernel benches are directly comparable across engines
-    (``bnn.fast.infer`` vs ``bnn.numpy.infer``).
+    kernel benches are directly comparable across engines.
     """
     scenario = _bnn_scenario(name, engine, n_full)
 
@@ -325,12 +319,8 @@ def _register_kernel_scores_bench(name: str, engine: str, *, n_quick: int,
 
 _register_kernel_scores_bench(
     "bnn.fast.infer", "fast", n_quick=200, n_full=2000,
-    help="bit-packed XNOR-popcount scoring kernel alone (--engine fast): "
-         "prebuilt model + inputs, no accelerator timing model")
-_register_kernel_scores_bench(
-    "bnn.numpy.infer", "numpy", n_quick=200, n_full=2000,
-    help="whole-batch vectorized scoring kernel alone (--engine numpy) "
-         "on the same prebuilt recipe as bnn.fast.infer")
+    help="exact GEMM scoring kernel alone (--engine fast): prebuilt "
+         "model + inputs, no accelerator timing model")
 
 
 #: the serve bench's scenario: the paper-shaped classifier offered at a

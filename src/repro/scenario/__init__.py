@@ -7,7 +7,7 @@
 * :mod:`repro.scenario.materialize` — builders turning a scenario into
   an assembled program / seeded model + inputs / an executed run,
 * :mod:`repro.scenario.fuzz` — the seeded random-scenario generator and
-  the three-way engine differential harness behind ``repro fuzz``.
+  the cross-engine differential harness behind ``repro fuzz``.
 
 The fuzz module is imported lazily (``import repro.scenario.fuzz``) so
 the schema stays cheap to import from :mod:`repro.sim.config`.

@@ -2,12 +2,16 @@
 
 Memoizes expensive simulation artifacts — trained BNN models, completed
 experiment results — keyed by namespace + content hash.  Artifacts are
-pickled under ``<root>/<namespace>/<key>.pkl``; the root defaults to
-``~/.cache/repro`` and is overridable with ``REPRO_CACHE_DIR``.
+pickled under ``<root>/<namespace>/<key>.pkl``, behind a one-line
+:data:`CACHE_HEADER` naming the cache format version; the root defaults
+to ``~/.cache/repro`` and is overridable with ``REPRO_CACHE_DIR``.
 
 Writes are atomic (temp file + ``os.replace``) so parallel experiment
-workers can share one cache directory, and every filesystem error degrades
-to a cache miss — the cache can never make a run fail, only slower.
+workers can share one cache directory.  Every filesystem error degrades
+to a cache miss, and so does every file that cannot be read back — a
+missing or different format header, a truncated or corrupt pickle, or a
+pickle naming code that no longer exists — so the cache can never make
+a run fail, only slower; a missed artifact is rebuilt and rewritten.
 """
 
 from __future__ import annotations
@@ -19,9 +23,19 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.logutil import get_logger
 from repro.sim.config import CACHE_ENV_VAR, DEFAULT_CACHE_DIR
 
+logger = get_logger("cache")
+
 _MISS = object()
+
+#: version of the on-disk format; bump it when what the cache stores
+#: changes shape, so files written by older code are rebuilt
+CACHE_FORMAT_VERSION = 1
+
+#: first line of every cache file
+CACHE_HEADER = f"repro-artifact-cache/{CACHE_FORMAT_VERSION}\n".encode()
 
 
 class ArtifactCache:
@@ -63,9 +77,16 @@ class ArtifactCache:
         path = self.path_for(namespace, key)
         try:
             with open(path, "rb") as handle:
+                if handle.read(len(CACHE_HEADER)) != CACHE_HEADER:
+                    logger.debug("cache file %s has another format; "
+                                 "rebuilding", path)
+                    return _MISS
                 value = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, AttributeError,
-                ImportError):
+        except OSError:
+            return _MISS
+        except Exception as error:  # unpickling can raise almost anything
+            logger.warning("unreadable cache file %s (%s: %s); rebuilding",
+                           path, type(error).__name__, error)
             return _MISS
         self._memory[memory_key] = value
         return value
@@ -82,6 +103,7 @@ class ArtifactCache:
                                              suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as handle:
+                    handle.write(CACHE_HEADER)
                     pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
                 os.replace(temp_name, path)
             except BaseException:

@@ -28,7 +28,7 @@ from repro.obs import (
 from repro.scenario import Scenario, WorkloadSpec
 from repro.sim import use_session
 
-ENGINES = sorted(set(engine_names()) & {"accurate", "fast", "parallel"})
+ENGINES = engine_names()
 
 
 def bnn_scenario(**overrides):
@@ -155,19 +155,12 @@ class TestAttributeScenarioContracts:
             name = "bare"
             capabilities = EngineCapabilities(
                 timing_accurate=False, functional=True,
-                batched=False, sharded=False)
+                batched=False)
 
         with use_session(cache_enabled=False):
             with pytest.raises(ObservabilityError,
                                match="phase_attribution"):
                 attribute_scenario(bnn_scenario(), engine=Bare())
-
-    def test_parallel_small_batch_flags_serial_fallback(self):
-        with use_session(cache_enabled=False):
-            attribution = attribute_scenario(bnn_scenario(batch_size=8),
-                                             engine="parallel")
-        assert attribution.serial_fallback
-        assert attribution.workers == []
 
     def test_chained_rejects_cpu_scenarios(self):
         with use_session(cache_enabled=False):

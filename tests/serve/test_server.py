@@ -39,7 +39,7 @@ def run_serve(scenario, session=None, with_server=False):
 
 
 class TestServeEndToEnd:
-    @pytest.mark.parametrize("engine", ["fast", "parallel"])
+    @pytest.mark.parametrize("engine", ["accurate", "fast"])
     def test_full_session_meets_report_schema(self, engine):
         scenario = small_scenario(engine)
         with use_session(cache_enabled=False) as session:
@@ -82,14 +82,14 @@ class TestServeEndToEnd:
 
     def test_engines_agree_under_identical_schedules(self):
         predictions = {}
-        for engine in ("fast", "parallel"):
+        for engine in ("accurate", "fast"):
             scenario = small_scenario(engine)
             with use_session(cache_enabled=False) as session:
                 _, server = run_serve(scenario, session=session,
                                       with_server=True)
             predictions[engine] = [request.prediction
                                    for request in server.requests]
-        assert predictions["fast"] == predictions["parallel"]
+        assert predictions["fast"] == predictions["accurate"]
 
     def test_rejects_cpu_scenarios(self):
         scenario = Scenario(

@@ -1,6 +1,7 @@
 """Tests for repro.sim: config hashing, the artifact cache, and sessions."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from repro.sim import (
     source_fingerprint,
     use_session,
 )
+from repro.sim import cache as cache_module
+from repro.sim.cache import CACHE_FORMAT_VERSION, CACHE_HEADER
 
 
 @pytest.fixture(autouse=True)
@@ -108,8 +111,8 @@ class TestSimConfig:
     def test_engine_round_trips_through_env(self):
         from repro.sim import ENGINE_ENV_VAR
 
-        config = SimConfig.from_env({ENGINE_ENV_VAR: "parallel"})
-        assert config.engine == "parallel"
+        config = SimConfig.from_env({ENGINE_ENV_VAR: "fast"})
+        assert config.engine == "fast"
         assert SimConfig.from_env({}).engine == "accurate"
 
     def test_unknown_engine_rejected_with_registered_names(self):
@@ -191,6 +194,108 @@ class TestArtifactCache:
         cache.put("ns", "k", value)
         assert cache.get("ns", "k") is value
         assert not ArtifactCache(root=tmp_path).has("ns", "k")
+
+
+def _write_raw(tmp_path, payload: bytes, key: str = "k"):
+    cache = ArtifactCache(root=tmp_path)
+    path = cache.path_for("ns", key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(payload)
+    return cache, path
+
+
+class TestUnreadableCacheFiles:
+    """Any file that cannot be read back is a miss, never a failure."""
+
+    @pytest.fixture(autouse=True)
+    def warnings(self, monkeypatch):
+        """The cache's warning lines, captured at the logger (CLI tests
+        may leave the ``repro`` logger non-propagating)."""
+        lines = []
+        monkeypatch.setattr(cache_module.logger, "warning",
+                            lambda message, *args: lines.append(
+                                message % args))
+        return lines
+
+    def test_files_carry_the_format_header(self, tmp_path):
+        cache = ArtifactCache(root=tmp_path)
+        cache.put("ns", "k", [1, 2, 3])
+        data = cache.path_for("ns", "k").read_bytes()
+        assert data.startswith(CACHE_HEADER)
+        assert pickle.loads(data[len(CACHE_HEADER):]) == [1, 2, 3]
+
+    def test_truncated_file_is_rebuilt(self, tmp_path):
+        ArtifactCache(root=tmp_path).put("ns", "k", list(range(100)))
+        path = ArtifactCache(root=tmp_path).path_for("ns", "k")
+        path.write_bytes(path.read_bytes()[:-7])
+        cache = ArtifactCache(root=tmp_path)
+        assert cache.fetch("ns", "k", lambda: "rebuilt") == "rebuilt"
+        assert cache.stats == {"hits": 0, "misses": 1, "stores": 1}
+        assert ArtifactCache(root=tmp_path).get("ns", "k") == "rebuilt"
+
+    def test_header_only_file_is_a_miss(self, tmp_path):
+        cache, _ = _write_raw(tmp_path, CACHE_HEADER)
+        assert cache.get("ns", "k", default="miss") == "miss"
+
+    @pytest.mark.parametrize("header", [
+        b"",                                   # pre-header cache file
+        b"repro-artifact-cache/0\n",           # older format
+        f"repro-artifact-cache/{CACHE_FORMAT_VERSION + 1}\n".encode(),
+    ], ids=["missing", "older", "newer"])
+    def test_stale_version_is_rebuilt(self, tmp_path, header):
+        cache, path = _write_raw(tmp_path, header + pickle.dumps("stale"))
+        assert cache.fetch("ns", "k", lambda: "fresh") == "fresh"
+        assert path.read_bytes().startswith(CACHE_HEADER)
+        assert ArtifactCache(root=tmp_path).get("ns", "k") == "fresh"
+
+    def test_pickle_of_a_deleted_module_is_a_miss(self, tmp_path, warnings):
+        # a protocol-0 GLOBAL naming a module that no longer exists
+        payload = CACHE_HEADER + b"crepro.bnn.parallel\nParallelEngine\n."
+        cache, path = _write_raw(tmp_path, payload)
+        assert cache.get("ns", "k", default="miss") == "miss"
+        assert len(warnings) == 1
+        assert str(path) in warnings[0]
+        assert "ModuleNotFoundError" in warnings[0]
+        assert cache.fetch("ns", "k", lambda: 5) == 5
+
+    def test_invalid_utf8_string_is_a_miss(self, tmp_path):
+        # BINUNICODE with bytes that are not UTF-8
+        payload = CACHE_HEADER + b"\x80\x04X\x02\x00\x00\x00\xff\xfe."
+        cache, _ = _write_raw(tmp_path, payload)
+        assert cache.get("ns", "k", default="miss") == "miss"
+
+    @pytest.mark.parametrize("error", [
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"), MemoryError(),
+        ValueError(), OverflowError(), TypeError(), SystemError(),
+        RecursionError(), KeyError("x"), IndexError()])
+    def test_any_unpickling_error_is_a_miss(self, tmp_path, monkeypatch,
+                                            error):
+        ArtifactCache(root=tmp_path).put("ns", "k", "value")
+
+        def broken_load(handle):
+            raise error
+
+        monkeypatch.setattr(cache_module.pickle, "load", broken_load)
+        cache = ArtifactCache(root=tmp_path)
+        assert cache.get("ns", "k", default="miss") == "miss"
+
+    def test_corrupted_files_never_raise(self, tmp_path):
+        value = {"weights": np.arange(64, dtype=np.int8), "name": "model",
+                 "sizes": (100, 100, 10), "score": 0.5}
+        ArtifactCache(root=tmp_path).put("ns", "good", value)
+        good = ArtifactCache(root=tmp_path).path_for("ns", "good")
+        original = good.read_bytes()
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            data = bytearray(original)
+            if trial % 3 == 0:
+                data = data[:int(rng.integers(0, len(data)))]
+            else:
+                for _ in range(int(rng.integers(1, 4))):
+                    spot = int(rng.integers(len(CACHE_HEADER), len(data)))
+                    data[spot] ^= 1 << int(rng.integers(0, 8))
+            cache, _ = _write_raw(tmp_path, bytes(data), key="fuzz")
+            cache.get("ns", "fuzz")  # must not raise
 
 
 class TestSession:

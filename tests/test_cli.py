@@ -109,12 +109,13 @@ class TestRunEngine:
         from repro.cli import engine_choices
         from repro.engine import engine_names
 
-        assert engine_choices() == engine_names()
-        assert "parallel" in engine_choices()
+        assert engine_choices() == engine_names() == ("accurate", "fast")
 
-    def test_parallel_engine_runs_programs(self, source_file, capsys):
-        assert main(["run", source_file, "--engine", "parallel"]) == 0
-        assert "cycles=4 " in capsys.readouterr().out
+    @pytest.mark.parametrize("retired", ["numpy", "parallel"])
+    def test_retired_engines_rejected(self, source_file, capsys, retired):
+        with pytest.raises(SystemExit):
+            main(["run", source_file, "--engine", retired])
+        assert "'accurate', 'fast'" in capsys.readouterr().err
 
     def test_unknown_engine_env_var_names_registered(self, source_file,
                                                      capsys, monkeypatch):
@@ -127,7 +128,7 @@ class TestRunEngine:
         message = str(excinfo.value)
         assert "REPRO_ENGINE" in message
         assert "warp" in message
-        assert "accurate" in message and "parallel" in message
+        assert "accurate" in message and "fast" in message
 
     def test_experiments_accept_engine_flag(self, capsys, monkeypatch):
         import os
@@ -236,15 +237,15 @@ class TestInfoAndExperiments:
         assert engines["registered"] == engine_table()
         by_name = {e["name"]: e for e in engines["registered"]}
         assert by_name["accurate"]["capabilities"]["timing_accurate"]
-        assert by_name["parallel"]["capabilities"]["sharded"]
-        for name in ("accurate", "fast", "parallel"):
+        assert by_name["fast"]["capabilities"]["batched"]
+        for name in ("accurate", "fast"):
             assert by_name[name]["capabilities"]["phase_attribution"]
 
     def test_info_text_lists_engines(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "execution engines" in out
-        for name in ("accurate", "fast", "parallel"):
+        for name in ("accurate", "fast"):
             assert name in out
 
 
@@ -446,8 +447,8 @@ class TestRunScenario:
                                                      bnn_scenario_file,
                                                      capsys):
         assert main(["run", "--scenario", bnn_scenario_file,
-                     "--engine", "parallel"]) == 0
-        assert "engine=parallel" in capsys.readouterr().out
+                     "--engine", "accurate"]) == 0
+        assert "engine=accurate" in capsys.readouterr().out
 
     def test_run_scenario_installs_session_config(self, bnn_scenario_file):
         from repro.sim import get_session
@@ -544,7 +545,7 @@ class TestFuzzCli:
     def test_fuzz_rejects_unknown_engine(self, capsys):
         assert main(["fuzz", "--count", "1", "--engines", "warp"]) == 2
         message = capsys.readouterr().err
-        assert "warp" in message and "numpy" in message
+        assert "warp" in message and "accurate, fast" in message
 
     def test_fuzz_comma_separated_engines(self, capsys):
         assert main(["fuzz", "--count", "2", "--seed", "0", "--kind",
@@ -585,16 +586,16 @@ class TestAttributeCli:
 
         assert main(["attribute", "--scenario", bnn_scenario_file,
                      "--engine", "accurate", "--engine", "fast",
-                     "--engine", "parallel", "--chained", "--json"]) == 0
+                     "--chained", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["schema"] == ATTRIBUTION_SCHEMA
         assert document["scenario"]["name"] == "cli-bnn"
-        # 3 engines x (plain + chained)
-        assert len(document["runs"]) == 6
+        # 2 engines x (plain + chained)
+        assert len(document["runs"]) == 4
         for entry in document["runs"]:
             validate_attribution_dict(entry)
         kinds = {(e["engine"], e["kind"]) for e in document["runs"]}
-        assert ("parallel", "chained") in kinds
+        assert ("fast", "chained") in kinds
         # same workload -> identical cycle totals across engines, per kind
         for kind in ("bnn", "chained"):
             totals = {e["total_cycles"] for e in document["runs"]

@@ -138,16 +138,17 @@ class TestEngineTableCheck:
     def test_parser_reads_names_and_flags(self, check_docs):
         rows = check_docs.documented_engine_table(
             "### Engine registry\n\n"
-            "| engine | timing_accurate | functional | batched | sharded |\n"
+            "| engine | timing_accurate | functional | batched "
+            "| phase_attribution |\n"
             "|---|---|---|---|---|\n"
-            "| `accurate` | yes | yes | no | no |\n"
-            "| `fast` | no | yes | yes | no |\n\n"
+            "| `accurate` | yes | yes | no | yes |\n"
+            "| `fast` | no | yes | yes | yes |\n\n"
             "prose after the table | with a stray pipe\n")
         assert set(rows) == {"accurate", "fast"}
         assert rows["accurate"] == {"timing_accurate": True,
                                     "functional": True,
                                     "batched": False,
-                                    "sharded": False}
+                                    "phase_attribution": True}
         assert rows["fast"]["batched"] is True
 
     def test_missing_table_reported(self, check_docs, tmp_path, monkeypatch):
@@ -161,16 +162,15 @@ class TestEngineTableCheck:
         stale = tmp_path / "ARCHITECTURE.md"
         stale.write_text(
             "### Engine registry\n\n"
-            "| engine | timing_accurate | functional | batched | sharded |\n"
+            "| engine | timing_accurate | functional | batched "
+            "| phase_attribution |\n"
             "|---|---|---|---|---|\n"
-            "| `accurate` | no | yes | no | no |\n"
+            "| `accurate` | no | yes | no | yes |\n"
             "| `warp` | no | yes | yes | yes |\n")
         monkeypatch.setattr(check_docs, "ARCHITECTURE", stale)
         problems = check_docs.check_engine_table()
-        # fast + parallel registered but undocumented
+        # fast registered but undocumented
         assert any("`fast`" in p and "missing from" in p for p in problems)
-        assert any("`parallel`" in p and "missing from" in p
-                   for p in problems)
         # warp documented but not registered
         assert any("`warp`" in p and "not registered" in p for p in problems)
         # accurate documented with a wrong flag
@@ -299,20 +299,20 @@ class TestKernelHandbookCheck:
                                        monkeypatch):
         real = (REPO_ROOT / "docs" / "KERNELS.md").read_text()
         stale = real.replace(
-            "| `repro.bnn.batched.WORD_BITS` | 64 |",
-            "| `repro.bnn.batched.WORD_BITS` | 32 |", 1)
+            "| `repro.bnn.batched.GEMM_MAX_FAN_IN` | 8388608 |",
+            "| `repro.bnn.batched.GEMM_MAX_FAN_IN` | 4194304 |", 1)
         target = tmp_path / "KERNELS.md"
         target.write_text(stale)
         monkeypatch.setattr(check_docs, "KERNELS_MD", target)
         problems = check_docs.check_kernel_handbook()
-        assert any("WORD_BITS" in p and "says 32" in p and "source says 64"
-                   in p for p in problems)
+        assert any("GEMM_MAX_FAN_IN" in p and "says 4194304" in p
+                   and "source says 8388608" in p for p in problems)
 
     def test_unknown_constant_reported(self, check_docs, tmp_path,
                                        monkeypatch):
         real = (REPO_ROOT / "docs" / "KERNELS.md").read_text()
         stale = real.replace(
-            "`repro.bnn.batched.WORD_BITS`",
+            "`repro.bnn.batched.GEMM_MAX_FAN_IN`",
             "`repro.bnn.batched.WARP_BITS`", 1)
         target = tmp_path / "KERNELS.md"
         target.write_text(stale)
@@ -324,12 +324,12 @@ class TestKernelHandbookCheck:
     def test_stale_decision_table_reported(self, check_docs, tmp_path,
                                            monkeypatch):
         real = (REPO_ROOT / "docs" / "KERNELS.md").read_text()
-        stale = real.replace("| `numpy` |", "| `cuda` |", 1)
+        stale = real.replace("| `fast` |", "| `cuda` |", 1)
         target = tmp_path / "KERNELS.md"
         target.write_text(stale)
         monkeypatch.setattr(check_docs, "KERNELS_MD", target)
         problems = check_docs.check_kernel_handbook()
-        assert any("`numpy`" in p and "missing from" in p for p in problems)
+        assert any("`fast`" in p and "missing from" in p for p in problems)
         assert any("`cuda`" in p and "not registered" in p for p in problems)
 
     def test_constant_row_parser(self, check_docs):
