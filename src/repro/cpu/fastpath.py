@@ -8,9 +8,13 @@ stop reasons — but instead of decode/execute dispatch per step it compiles
 each **superblock** once into a list of specialised Python closures and
 replays the list on every revisit:
 
-* every straight-line instruction becomes one closure over its decoded
-  fields that mutates the register list in place (x0 writes are elided and
-  constants like AUIPC results are folded at compile time),
+* every straight-line instruction becomes one closure over its
+  :class:`~repro.cpu.semantics.Slot` that computes its value with the
+  slot's shared EX closure — the same one the functional model and the
+  pipeline call, so :mod:`repro.cpu.semantics` is the only place an RV32I
+  result is defined — and mutates the register list in place (x0 writes
+  are elided, and an op whose sources are both x0, such as ``lui``,
+  ``auipc`` or ``li``, is evaluated once at compile time),
 * unconditional ``jal`` jumps are *folded into the body*: decoding
   continues at the (always-taken) target, so call-heavy code compiles
   into superblocks — precomputed decode traces spanning taken jumps —
@@ -42,17 +46,14 @@ from repro.bnn.batched import BatchedBNNHalf
 from repro.cpu.env import CoreEnv, ExecStats, RunResult
 from repro.cpu.functional import DEFAULT_MAX_STEPS
 from repro.cpu.memory import DataMemory, FlatMemory
-from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS
+from repro.cpu.semantics import MEM_SIZES, Slot, slot_for
 from repro.cpu.state import RegisterFile
 from repro.errors import SimulationError
 from repro.engine import EngineCapabilities, ExecutionEngine, register_engine
-from repro.isa.instructions import DecodedInstr, decode
 from repro.isa.program import Program
 from repro.sim import get_session
 
 _MASK = 0xFFFFFFFF
-_SIGN_BIT = 0x80000000
-_TWO32 = 0x100000000
 
 #: mnemonics that end a basic block (control transfer or environment call
 #: that must observe an exact cycle count)
@@ -98,10 +99,6 @@ class _Block:
             self.counts[term_name] += 1
 
 
-def _signed(value: int) -> int:
-    return value - _TWO32 if value >= _SIGN_BIT else value
-
-
 class FastCPU:
     """Basic-block RV32I interpreter, architecturally identical to
     :class:`~repro.cpu.functional.FunctionalCPU`."""
@@ -127,171 +124,73 @@ class FastCPU:
         """Number of basic blocks compiled so far (decode-cache size)."""
         return len(self._blocks)
 
-    def _compile_body(self, instr: DecodedInstr, pc: int) -> _BodyFn:
+    def _compile_body(self, slot: Slot, pc: int) -> _BodyFn:
         """One straight-line instruction as a closure over the register list.
 
-        Every write keeps the register-file invariant (unsigned 32-bit
-        values), matching :class:`~repro.cpu.state.RegisterFile.write`.
+        Every value comes from the shared EX closure ``slot.ex``, whose
+        results are unsigned 32-bit, so every write keeps the register-file
+        invariant of :class:`~repro.cpu.state.RegisterFile.write`.  An op
+        whose sources are both x0 (``lui``, ``auipc``, ``li``, a folded
+        ``jal`` link...) is evaluated once here and stored as a constant.
         """
-        name = instr.name
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-
-        if name in MEM_SIZES:
-            return self._compile_mem(instr)
-        if name == "mv_neu":
-            env = self.env
-
-            def fn(r, _w=env.write_transition_neuron):
-                _w(rd, r[rs1])
+        if slot.mem:
+            return self._compile_mem(slot, pc)
+        ex, dest, src1, src2 = slot.ex, slot.dest, slot.src1, slot.src2
+        if slot.name == "mv_neu":
+            def fn(r, _w=self.env.write_transition_neuron, _rd=slot.rd):
+                _w(_rd, ex(r[src1], r[src2], pc)[0])
             return fn
-        if rd == 0:  # architectural no-op, still costs a cycle
+        if dest < 0:  # architectural no-op, still costs a cycle
             return lambda r: None
+        if not src1 and not src2:
+            const = ex(0, 0, pc)[0]
 
-        if name == "addi":
-            return lambda r: r.__setitem__(rd, (r[rs1] + imm) & _MASK)
-        if name == "add":
-            return lambda r: r.__setitem__(rd, (r[rs1] + r[rs2]) & _MASK)
-        if name == "sub":
-            return lambda r: r.__setitem__(rd, (r[rs1] - r[rs2]) & _MASK)
-        if name == "lui":
-            const = imm & _MASK
-            return lambda r: r.__setitem__(rd, const)
-        if name == "auipc":
-            const = (pc + imm) & _MASK  # folded: pc is known at compile time
-            return lambda r: r.__setitem__(rd, const)
-        if name in ("andi", "ori", "xori"):
-            uimm = imm & _MASK
-            if name == "andi":
-                return lambda r: r.__setitem__(rd, r[rs1] & uimm)
-            if name == "ori":
-                return lambda r: r.__setitem__(rd, r[rs1] | uimm)
-            return lambda r: r.__setitem__(rd, r[rs1] ^ uimm)
-        if name == "and":
-            return lambda r: r.__setitem__(rd, r[rs1] & r[rs2])
-        if name == "or":
-            return lambda r: r.__setitem__(rd, r[rs1] | r[rs2])
-        if name == "xor":
-            return lambda r: r.__setitem__(rd, r[rs1] ^ r[rs2])
-        if name == "slti":
-            return lambda r: r.__setitem__(rd, 1 if _signed(r[rs1]) < imm else 0)
-        if name == "sltiu":
-            uimm = imm & _MASK
-            return lambda r: r.__setitem__(rd, 1 if r[rs1] < uimm else 0)
-        if name == "slt":
-            return lambda r: r.__setitem__(
-                rd, 1 if _signed(r[rs1]) < _signed(r[rs2]) else 0)
-        if name == "sltu":
-            return lambda r: r.__setitem__(rd, 1 if r[rs1] < r[rs2] else 0)
-        if name == "slli":
-            sh = imm & 0x1F
-            return lambda r: r.__setitem__(rd, (r[rs1] << sh) & _MASK)
-        if name == "srli":
-            sh = imm & 0x1F
-            return lambda r: r.__setitem__(rd, r[rs1] >> sh)
-        if name == "srai":
-            sh = imm & 0x1F
-            return lambda r: r.__setitem__(rd, (_signed(r[rs1]) >> sh) & _MASK)
-        if name == "sll":
-            return lambda r: r.__setitem__(rd, (r[rs1] << (r[rs2] & 0x1F)) & _MASK)
-        if name == "srl":
-            return lambda r: r.__setitem__(rd, r[rs1] >> (r[rs2] & 0x1F))
-        if name == "sra":
-            return lambda r: r.__setitem__(
-                rd, (_signed(r[rs1]) >> (r[rs2] & 0x1F)) & _MASK)
-        if name == "mul":
-            return lambda r: r.__setitem__(
-                rd, (_signed(r[rs1]) * _signed(r[rs2])) & _MASK)
-        raise SimulationError(f"no fast-path semantics for {name!r}")
-
-    def _compile_mem(self, instr: DecodedInstr) -> _BodyFn:
-        name = instr.name
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-        size = MEM_SIZES[name]
-        signed = name in SIGNED_LOADS
-        env = self.env
-        mem = self.memory
-
-        if name == "lw_l2":
             def fn(r):
-                value = env.l2_memory().load((r[rs1] + imm) & _MASK, 4)
-                env.l2_reads += 1
-                if rd:
-                    r[rd] = value & _MASK
-            return fn
-        if name == "sw_l2":
-            def fn(r):
-                env.l2_memory().store((r[rs1] + imm) & _MASK, r[rs2], 4)
-                env.l2_writes += 1
-            return fn
-        if instr.spec.is_load:
-            if rd:
-                def fn(r, _load=mem.load):
-                    r[rd] = _load((r[rs1] + imm) & _MASK, size, signed) & _MASK
-            else:
-                def fn(r, _load=mem.load):
-                    _load((r[rs1] + imm) & _MASK, size, signed)
+                r[dest] = const
             return fn
 
-        def fn(r, _store=mem.store):
-            _store((r[rs1] + imm) & _MASK, r[rs2], size)
+        def fn(r):
+            r[dest] = ex(r[src1], r[src2], pc)[0]
         return fn
 
-    def _compile_terminator(self, instr: DecodedInstr,
-                            pc: int) -> Tuple[_TermFn, str]:
-        name = instr.name
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
+    def _compile_mem(self, slot: Slot, pc: int) -> _BodyFn:
+        ex, dest, src1, src2 = slot.ex, slot.dest, slot.src1, slot.src2
+        size, signed = slot.size, slot.signed
+        env = self.env
+
+        if slot.l2:
+            if slot.mem == 1:
+                def fn(r):
+                    value = env.l2_memory().load(ex(r[src1], 0, pc)[0], size,
+                                                 signed)
+                    env.l2_reads += 1
+                    if dest >= 0:
+                        r[dest] = value & _MASK
+            else:
+                def fn(r):
+                    env.l2_memory().store(ex(r[src1], 0, pc)[0], r[src2],
+                                          size)
+                    env.l2_writes += 1
+            return fn
+        if slot.mem == 1:
+            if dest >= 0:
+                def fn(r, _load=self.memory.load):
+                    r[dest] = _load(ex(r[src1], 0, pc)[0], size,
+                                    signed) & _MASK
+            else:
+                def fn(r, _load=self.memory.load):
+                    _load(ex(r[src1], 0, pc)[0], size, signed)
+            return fn
+
+        def fn(r, _store=self.memory.store):
+            _store(ex(r[src1], 0, pc)[0], r[src2], size)
+        return fn
+
+    def _compile_terminator(self, slot: Slot, pc: int) -> _TermFn:
+        name = slot.name
         fall = (pc + 4) & _MASK
 
-        if name == "jal":
-            tgt = (pc + imm) & _MASK
-            if rd:
-                def term(r):
-                    r[rd] = fall
-                    return tgt, None
-            else:
-                def term(r):
-                    return tgt, None
-        elif name == "jalr":
-            if rd:
-                def term(r):
-                    # target from the *old* rs1 even when rd == rs1
-                    tgt = (r[rs1] + imm) & 0xFFFFFFFE
-                    r[rd] = fall
-                    return tgt, None
-            else:
-                def term(r):
-                    return (r[rs1] + imm) & 0xFFFFFFFE, None
-        elif name == "beq":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if r[rs1] == r[rs2] else fall), None
-        elif name == "bne":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if r[rs1] != r[rs2] else fall), None
-        elif name == "blt":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if _signed(r[rs1]) < _signed(r[rs2]) else fall), None
-        elif name == "bge":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if _signed(r[rs1]) >= _signed(r[rs2]) else fall), None
-        elif name == "bltu":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if r[rs1] < r[rs2] else fall), None
-        elif name == "bgeu":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if r[rs1] >= r[rs2] else fall), None
-        elif name == "ebreak":
+        if name == "ebreak":
             def term(r):
                 return fall, "halt"
         elif name in ("trans_bnn", "trigger_bnn"):
@@ -301,13 +200,24 @@ class FastCPU:
             env = self.env
             stats = self.stats
             stop = "trans_bnn" if name == "trans_bnn" else None
+            imm = slot.imm
 
             def term(r):
                 env.record(name, stats.cycles, pc, imm)
                 return fall, stop
-        else:  # pragma: no cover - TERMINATORS covers exactly these names
-            raise SimulationError(f"{name!r} is not a terminator")
-        return term, name
+        else:  # jal / jalr / conditional branch
+            ex, dest, src1, src2 = slot.ex, slot.dest, slot.src1, slot.src2
+            if dest >= 0:
+                def term(r):
+                    # ex reads the *old* rs1 even when rd == rs1
+                    link, tgt = ex(r[src1], r[src2], pc)
+                    r[dest] = link
+                    return (fall if tgt is None else tgt), None
+            else:
+                def term(r):
+                    tgt = ex(r[src1], r[src2], pc)[1]
+                    return (fall if tgt is None else tgt), None
+        return term
 
     def _build(self, start_pc: int) -> _Block:
         """Decode forward from ``start_pc`` until a terminator and compile.
@@ -327,7 +237,7 @@ class FastCPU:
         visited = {start_pc}
         while True:
             try:
-                instr = decode(self.program.word_at(pc))
+                slot = slot_for(self.program.word_at(pc))
             except IndexError as exc:
                 # fetching off the program raises exactly like the
                 # functional model (SimulationError wrapping the message)
@@ -344,30 +254,26 @@ class FastCPU:
                     raise _t(*_a)
                 term_name = None
                 break
-            if instr.name == "jal":
-                tgt = (pc + instr.imm) & _MASK
+            name = slot.name
+            if name == "jal":
+                tgt = slot.ex(0, 0, pc)[1]
                 if tgt not in visited and len(body) < MAX_SUPERBLOCK_BODY:
-                    rd = instr.rd
-                    fall = (pc + 4) & _MASK
-                    if rd:
-                        body.append(
-                            lambda r, _rd=rd, _f=fall: r.__setitem__(_rd, _f))
-                    else:
-                        body.append(lambda r: None)
-                    names.append("jal")
+                    # the link write is a constant: a both-x0-sources fold
+                    body.append(self._compile_body(slot, pc))
+                    names.append(name)
                     pcs.append(pc)
                     pc = tgt
                     visited.add(pc)
                     continue
-            if instr.name in TERMINATORS:
-                term, term_name = self._compile_terminator(instr, pc)
+            if name in TERMINATORS:
+                term, term_name = self._compile_terminator(slot, pc), name
                 break
-            body.append(self._compile_body(instr, pc))
-            names.append(instr.name)
+            body.append(self._compile_body(slot, pc))
+            names.append(name)
             pcs.append(pc)
-            if instr.spec.is_load:
+            if slot.mem == 1:
                 n_reads += 1
-            elif instr.spec.is_store:
+            elif slot.mem == 2:
                 n_writes += 1
             pc += 4
             visited.add(pc)

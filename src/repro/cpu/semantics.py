@@ -1,8 +1,9 @@
-"""Instruction execution semantics shared by the functional ISS and pipeline.
+"""Instruction execution semantics shared by every CPU simulator.
 
-Keeping the EX-stage math in one place guarantees the cycle-accurate pipeline
-and the golden-model ISS can never disagree about *what* an instruction does,
-only about *when* it happens.
+Keeping the EX-stage math in one place guarantees the cycle-accurate
+pipeline, the golden-model ISS and the fast engine's superblock compiler can
+never disagree about *what* an instruction does, only about *when* it
+happens.
 
 :data:`EX_TABLE` maps each mnemonic to a factory that compiles one
 instruction's immediate into an EX closure ``(a, b, pc) -> (alu, redirect)``:
@@ -15,11 +16,10 @@ facts a simulator needs, computed once per instruction word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from repro.isa.instructions import DecodedInstr, decode
+from repro.isa.instructions import decode
 
 #: bytes moved by each load/store mnemonic
 MEM_SIZES = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lw_l2": 4,
@@ -131,28 +131,3 @@ def slot_for(word: int) -> Slot:
         rd=instr.rd,
         imm=instr.imm,
     )
-
-
-@dataclass(frozen=True)
-class ExecOutcome:
-    """Result of the EX stage for one instruction.
-
-    Attributes:
-        alu: the ALU output — the rd write value for ALU ops, the effective
-            address for memory ops, the link value (pc+4) for jumps.
-        taken: whether a control transfer redirects the PC.
-        target: the redirect target when ``taken``, else 0.
-    """
-
-    alu: int
-    taken: bool = False
-    target: int = 0
-
-
-def execute(instr: DecodedInstr, rs1_val: int, rs2_val: int, pc: int) -> ExecOutcome:
-    """Compute the EX-stage outcome of ``instr`` given its operand values."""
-    ex = EX_TABLE[instr.name](instr.imm)
-    alu, target = ex(rs1_val & _M, rs2_val & _M, pc)
-    if target is None:
-        return ExecOutcome(alu)
-    return ExecOutcome(alu, taken=True, target=target)

@@ -198,13 +198,6 @@ _register_cpu_bench(
     help="fast-path (basic-block) interpreter speed on the Dhrystone "
          "kernel, block compilation included (--engine fast)")
 _register_cpu_bench(
-    "cpu.superblock",
-    _cpu_scenario("cpu.superblock", "dhrystone", 60, "fast"),
-    quick_iterations=5, work_key="instructions", unit="instr/s",
-    help="superblock (jal-folded trace) interpreter speed on the "
-         "call-heavy Dhrystone kernel, where jump folding actually "
-         "forms superblocks (--engine fast)")
-_register_cpu_bench(
     "cpu.pipeline.hotspot",
     _cpu_scenario("cpu.pipeline.hotspot", "hotspot", 50, "accurate"),
     quick_iterations=5, work_key="cycles", unit="cycles/s",

@@ -329,7 +329,7 @@ class TestBlockCacheAndProbes:
 
 
 # -- hypothesis: programs with loops, jumps, and custom instructions -----
-_REGS = ["a0", "a1", "a2", "a3", "t0", "t1"]
+_REGS = ["a0", "a1", "a2", "a3", "t0", "t1", "zero"]
 _ALU_R = ["add", "sub", "and", "or", "xor", "slt", "sltu", "sll", "srl",
           "sra", "mul"]
 _ALU_I = ["addi", "andi", "ori", "xori", "slti", "sltiu"]

@@ -1,17 +1,13 @@
-"""The compiled EX table, the slot records and the ``execute`` API."""
+"""The compiled EX table and the slot records every CPU simulator shares."""
 
 import pytest
 
-from repro.cpu import ExecOutcome, execute
+from repro.cpu import FastCPU, FunctionalCPU, PipelinedCPU
 from repro.cpu import semantics
 from repro.cpu.semantics import EX_TABLE, Slot, slot_for
 from repro.errors import DecodingError
 from repro.isa import assemble
-from repro.isa.instructions import SPECS, decode
-
-
-def decoded(line):
-    return decode(assemble(line).words[0])
+from repro.isa.instructions import SPECS
 
 
 def test_every_instruction_has_semantics():
@@ -24,21 +20,38 @@ def test_field_positions_match_the_slot():
 
 
 @pytest.mark.parametrize("line, a, b, pc, expected", [
-    ("add a0, a1, a2", 5, -7, 0, ExecOutcome(0xFFFFFFFE)),
-    ("mul a0, a1, a2", -3, 7, 0, ExecOutcome(0xFFFFFFEB)),
-    ("sra a0, a1, a2", -16, 2, 0, ExecOutcome(0xFFFFFFFC)),
-    ("slt a0, a1, a2", -1, 0, 0, ExecOutcome(1)),
-    ("sltu a0, a1, a2", -1, 0, 0, ExecOutcome(0)),
-    ("slti a0, a1, -1", -2, 0, 0, ExecOutcome(1)),
-    ("blt a1, a2, 8", -1, 0, 0x40, ExecOutcome(0, taken=True, target=0x48)),
-    ("bge a1, a2, 8", -1, 0, 0x40, ExecOutcome(0)),
-    ("jalr a0, 3(a1)", 0x100, 0, 0x40, ExecOutcome(0x44, taken=True,
-                                                   target=0x102)),
-    ("lw a0, -4(a1)", 0x100, 0, 0, ExecOutcome(0xFC)),
+    ("add a0, a1, a2", 5, -7, 0, (0xFFFFFFFE, None)),
+    ("mul a0, a1, a2", -3, 7, 0, (0xFFFFFFEB, None)),
+    ("sra a0, a1, a2", -16, 2, 0, (0xFFFFFFFC, None)),
+    ("slt a0, a1, a2", -1, 0, 0, (1, None)),
+    ("sltu a0, a1, a2", -1, 0, 0, (0, None)),
+    ("slti a0, a1, -1", -2, 0, 0, (1, None)),
+    ("blt a1, a2, 8", -1, 0, 0x40, (0, 0x48)),
+    ("bge a1, a2, 8", -1, 0, 0x40, (0, None)),
+    ("jalr a0, 3(a1)", 0x100, 0, 0x40, (0x44, 0x102)),
+    ("lw a0, -4(a1)", 0x100, 0, 0, (0xFC, None)),
 ])
-def test_execute_masks_operands_and_reports_redirects(line, a, b, pc,
-                                                      expected):
-    assert execute(decoded(line), a, b, pc) == expected
+def test_slot_ex_computes_alu_and_redirect(line, a, b, pc, expected):
+    slot = slot_for(assemble(line).words[0])
+    assert slot.ex(a & 0xFFFFFFFF, b & 0xFFFFFFFF, pc) == expected
+
+
+@pytest.fixture
+def patched_xor(monkeypatch):
+    """``xor`` redefined in the EX table; slots rebuilt before and after."""
+    monkeypatch.setitem(EX_TABLE, "xor",
+                        lambda imm: lambda a, b, pc: (0xC0FFEE, None))
+    slot_for.cache_clear()
+    yield
+    slot_for.cache_clear()
+
+
+def test_every_simulator_computes_from_the_ex_table(patched_xor):
+    program = assemble("li a0, 6\nli a1, 3\nxor a2, a0, a1\nebreak")
+    cpus = [FunctionalCPU(program), PipelinedCPU(program), FastCPU(program)]
+    for cpu in cpus:
+        assert cpu.run().stop_reason == "halt"
+    assert [cpu.regs.read(12) for cpu in cpus] == [0xC0FFEE] * 3
 
 
 def test_slot_describes_the_word():

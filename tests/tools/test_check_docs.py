@@ -22,9 +22,6 @@ class TestRealRepo:
         assert check_docs.main([]) == 0
         assert "docs ok" in capsys.readouterr().out
 
-    def test_probe_table_in_sync(self, check_docs):
-        assert check_docs.check_probe_table() == []
-
     def test_every_markdown_file_discovered(self, check_docs):
         names = {path.name for path in check_docs.markdown_files()}
         assert {"README.md", "ARCHITECTURE.md", "PERFORMANCE.md"} <= names
@@ -101,34 +98,6 @@ class TestCliExampleCheck:
         problems = self._run(check_docs, tmp_path, monkeypatch,
                              "repro frobnicate")
         assert len(problems) == 1
-
-
-class TestProbeTableCheck:
-    def test_stale_table_reported(self, check_docs, tmp_path, monkeypatch):
-        stale = tmp_path / "ARCHITECTURE.md"
-        stale.write_text(
-            "### Probe event vocabulary\n\n"
-            "| event | emitted by | payload |\n"
-            "| --- | --- | --- |\n"
-            "| `cpu.run` | `cpu/functional.py` | stats |\n"
-            "| `ghost.event` | nowhere | - |\n")
-        monkeypatch.setattr(check_docs, "ARCHITECTURE", stale)
-        problems = check_docs.check_probe_table()
-        assert any("ghost.event" in p and "no longer emitted" in p
-                   for p in problems)
-        assert any("missing from" in p for p in problems)  # bnn.batch etc.
-
-    def test_missing_table_reported(self, check_docs, tmp_path, monkeypatch):
-        empty = tmp_path / "ARCHITECTURE.md"
-        empty.write_text("no table here\n")
-        monkeypatch.setattr(check_docs, "ARCHITECTURE", empty)
-        problems = check_docs.check_probe_table()
-        assert problems and "table not found" in problems[0]
-
-    def test_emitted_names_include_known_events(self, check_docs):
-        emitted = check_docs.emitted_probe_names()
-        for name in ("cpu.run", "bnn.infer", "bnn.batch", "dma.transfer"):
-            assert name in emitted
 
 
 class TestEngineTableCheck:

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Documentation lint: links, CLI examples, probe/engine/scenario tables.
+"""Documentation lint: links, CLI examples, engine/scenario/registry tables.
 
-Nine checks, each cheap enough for every CI run:
+Eight checks, each cheap enough for every CI run (the probe event table
+is enforced by ``tests/test_probe_vocabulary.py``, which runs on every
+push):
 
 1. **Relative links** — every ``[text](target)`` in a tracked markdown file
    whose target is not an external URL or a pure anchor must point at an
@@ -10,29 +12,25 @@ Nine checks, each cheap enough for every CI run:
    inside a fenced ```bash/```console block of README.md and docs/*.md is
    parsed against the *real* argparse tree (``repro.cli.build_parser``), so
    documented flags can never drift from the implementation.
-3. **Probe vocabulary** — the probe event table in docs/ARCHITECTURE.md
-   must list exactly the literal ``*.emit("name", ...)`` sites under src/
-   (same contract as tests/test_probe_vocabulary.py, enforced at docs-lint
-   time too so a docs-only change cannot merge a stale table).
-4. **Engine registry table** — the "### Engine registry" table in
+3. **Engine registry table** — the "### Engine registry" table in
    docs/ARCHITECTURE.md must list exactly the engines registered in
    ``repro.engine`` with their live capability flags, so registering a
    new backend (or changing flags) forces the docs to follow.
-5. **Scenario field tables** — every field table in docs/SCENARIOS.md
+4. **Scenario field tables** — every field table in docs/SCENARIOS.md
    must list exactly the fields of the matching dataclass in
    ``repro.scenario.schema``, so adding or removing a scenario
    dimension forces the schema reference to follow.
-6. **Phase vocabulary table** — the "### Phase vocabulary" table in
+5. **Phase vocabulary table** — the "### Phase vocabulary" table in
    docs/OBSERVABILITY.md must list exactly ``repro.obs.PHASES`` in
    order, so renaming or adding an attribution phase forces the
    observability reference to follow.
-7. **Serve metric table** — the "## Serve metric families" table in
+6. **Serve metric table** — the "## Serve metric families" table in
    docs/SERVING.md must list exactly ``repro.serve.SERVE_METRIC_HELP``.
-8. **Kernel handbook** — the constants table in docs/KERNELS.md must
+7. **Kernel handbook** — the constants table in docs/KERNELS.md must
    match the live source constants (each ``module.CONSTANT`` row is
    imported and compared), and its engine decision table must cover
    exactly the engines registered in ``repro.engine``.
-9. **Device profile table** — the "## Profile registry" table in
+8. **Device profile table** — the "## Profile registry" table in
    docs/DEVICES.md must list exactly the profiles registered in
    ``repro.power`` with their live technology/voltage/frequency/
    geometry values and capability flags, so registering a new device
@@ -45,7 +43,6 @@ otherwise.  Run from anywhere: paths resolve relative to the repo root.
 from __future__ import annotations
 
 import argparse
-import ast
 import contextlib
 import io
 import re
@@ -211,59 +208,7 @@ def check_cli_examples(files: List[Path]) -> List[str]:
     return problems
 
 
-# -- check 3: probe vocabulary table -------------------------------------
-def emitted_probe_names() -> Dict[str, List[str]]:
-    """``{event name: [file:line, ...]}`` for literal emit sites in src/."""
-    sites: Dict[str, List[str]] = {}
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr == "emit"):
-                continue
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value,
-                                                              str):
-                where = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
-                sites.setdefault(first.value, []).append(where)
-    return sites
-
-
-def documented_probe_names() -> Set[str]:
-    text = ARCHITECTURE.read_text()
-    anchor = "### Probe event vocabulary"
-    if anchor not in text:
-        return set()
-    names = set()
-    for line in text.split(anchor, 1)[1].splitlines():
-        match = re.match(r"\|\s*`([a-z0-9_.]+)`\s*\|", line)
-        if match:
-            names.add(match.group(1))
-        elif names and not line.strip().startswith("|"):
-            break
-    return names
-
-
-def check_probe_table() -> List[str]:
-    problems = []
-    emitted = emitted_probe_names()
-    documented = documented_probe_names()
-    if not documented:
-        return [f"{ARCHITECTURE.name}: probe vocabulary table not found"]
-    for name in sorted(set(emitted) - documented):
-        problems.append(
-            f"probe `{name}` emitted at {', '.join(emitted[name])} but "
-            "missing from the docs/ARCHITECTURE.md vocabulary table")
-    for name in sorted(documented - set(emitted)):
-        problems.append(
-            f"probe `{name}` documented in docs/ARCHITECTURE.md but no "
-            "longer emitted anywhere under src/")
-    return problems
-
-
-# -- check 4: engine registry table --------------------------------------
+# -- check 3: engine registry table --------------------------------------
 ENGINE_TABLE_ANCHOR = "### Engine registry"
 
 #: capability columns of the docs table, in order
@@ -323,7 +268,7 @@ def check_engine_table() -> List[str]:
     return problems
 
 
-# -- check 5: scenario field tables --------------------------------------
+# -- check 4: scenario field tables --------------------------------------
 SCENARIOS_MD = REPO_ROOT / "docs" / "SCENARIOS.md"
 
 #: (docs/SCENARIOS.md table anchor, repro.scenario.schema class name)
@@ -384,7 +329,7 @@ def check_scenario_tables() -> List[str]:
     return problems
 
 
-# -- check 6: observability phase table ----------------------------------
+# -- check 5: observability phase table ----------------------------------
 OBSERVABILITY_MD = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 
 PHASE_TABLE_ANCHOR = "### Phase vocabulary"
@@ -435,7 +380,7 @@ def check_phase_table() -> List[str]:
     return problems
 
 
-# -- check 7: serve metric table -----------------------------------------
+# -- check 6: serve metric table -----------------------------------------
 SERVING_MD = REPO_ROOT / "docs" / "SERVING.md"
 
 SERVE_METRIC_TABLE_ANCHOR = "## Serve metric families"
@@ -481,7 +426,7 @@ def check_serve_metric_table() -> List[str]:
     return problems
 
 
-# -- check 8: kernel handbook --------------------------------------------
+# -- check 7: kernel handbook --------------------------------------------
 KERNELS_MD = REPO_ROOT / "docs" / "KERNELS.md"
 
 KERNEL_CONSTANTS_ANCHOR = "## Kernel layout constants"
@@ -579,7 +524,7 @@ def check_kernel_handbook() -> List[str]:
     return problems
 
 
-# -- check 9: device profile registry table ------------------------------
+# -- check 8: device profile registry table ------------------------------
 DEVICES_MD = REPO_ROOT / "docs" / "DEVICES.md"
 
 PROFILE_TABLE_ANCHOR = "## Profile registry"
@@ -661,9 +606,9 @@ def check_profile_table() -> List[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="check_docs",
-        description="lint markdown links, CLI examples, the probe table, "
-                    "the engine registry table, the scenario field "
-                    "tables, and the device profile table")
+        description="lint markdown links, CLI examples, the engine "
+                    "registry table, the scenario field tables, and the "
+                    "device profile table")
     parser.add_argument("--quiet", action="store_true",
                         help="print only failures")
     args = parser.parse_args(argv)
@@ -671,7 +616,6 @@ def main(argv=None) -> int:
     files = markdown_files()
     problems = check_links(files)
     problems += check_cli_examples(files)
-    problems += check_probe_table()
     problems += check_engine_table()
     problems += check_scenario_tables()
     problems += check_phase_table()
@@ -685,7 +629,7 @@ def main(argv=None) -> int:
         return 1
     if not args.quiet:
         print(f"docs ok: {len(files)} markdown files, links + CLI examples "
-              "+ probe table + engine table + scenario tables + phase "
+              "+ engine table + scenario tables + phase "
               "table + serve metric table + kernel handbook + device "
               "profile table all consistent")
     return 0
