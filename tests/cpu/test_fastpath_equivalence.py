@@ -157,6 +157,35 @@ class TestStepLimits:
         assert fast.stats.scalars() == reference.stats.scalars()
 
 
+class TestZeroOperands:
+    """Ops reading only x0 are folded at compile time; x0 writes are dropped."""
+
+    SOURCE = """
+        li    a0, 5
+        lui   a1, 0xABCDE
+        auipc a2, 0x10
+        xori  a3, x0, -1
+        sltiu t0, zero, 1
+        sub   t1, x0, x0
+        add   x0, a0, a1
+        addi  zero, zero, 7
+        add   a4, a0, x0
+        ebreak
+    """
+
+    def test_matches_functional_and_pipeline(self):
+        program = assemble(self.SOURCE)
+        functional, f_result, fast, q_result = _run_pair(program)
+        _assert_identical(functional, f_result, fast, q_result)
+        regs = fast.regs
+        assert regs.read(0) == 0
+        assert [regs.read(n) for n in (10, 11, 13, 5, 6, 14)] == \
+            [5, 0xABCDE000, 0xFFFFFFFF, 1, 0, 5]
+        pipelined = PipelinedCPU(program, memory=FlatMemory())
+        pipelined.run(max_cycles=10_000)
+        assert pipelined.regs.snapshot() == fast.regs.snapshot()
+
+
 class TestErrorPaths:
     def test_running_off_the_program_raises_like_functional(self):
         program = assemble("addi a0, x0, 1")  # no ebreak

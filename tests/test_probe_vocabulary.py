@@ -11,6 +11,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 ARCHITECTURE = REPO_ROOT / "docs" / "ARCHITECTURE.md"
@@ -37,9 +39,9 @@ def emitted_probe_names() -> dict:
     return sites
 
 
-def documented_probe_names() -> set:
+def documented_probe_names(architecture: Path = ARCHITECTURE) -> set:
     """Event names from the vocabulary table in ARCHITECTURE.md."""
-    text = ARCHITECTURE.read_text()
+    text = architecture.read_text()
     anchor = "### Probe event vocabulary"
     assert anchor in text, "ARCHITECTURE.md lost its probe vocabulary table"
     section = text.split(anchor, 1)[1]
@@ -74,3 +76,33 @@ def test_every_documented_probe_is_emitted():
     assert not stale, (
         "probe events documented in docs/ARCHITECTURE.md but no longer "
         f"emitted anywhere under src/: {sorted(stale)}")
+
+
+def test_known_events_are_emitted():
+    emitted = emitted_probe_names()
+    for name in ("cpu.run", "bnn.infer", "bnn.batch", "dma.transfer"):
+        assert name in emitted
+
+
+def test_stale_table_is_caught(tmp_path):
+    stale = tmp_path / "ARCHITECTURE.md"
+    stale.write_text(
+        "### Probe event vocabulary\n\n"
+        "| event | emitted by | payload |\n"
+        "| --- | --- | --- |\n"
+        "| `cpu.run` | `cpu/functional.py` | stats |\n"
+        "| `ghost.event` | nowhere | - |\n"
+        "\n"
+        "| `after.table` | not part of the vocabulary | - |\n")
+    documented = documented_probe_names(stale)
+    assert documented == {"cpu.run", "ghost.event"}
+    emitted = set(emitted_probe_names())
+    assert documented - emitted == {"ghost.event"}  # documented, not emitted
+    assert "bnn.batch" in emitted - documented  # emitted, not documented
+
+
+def test_missing_table_is_caught(tmp_path):
+    empty = tmp_path / "ARCHITECTURE.md"
+    empty.write_text("no table here\n")
+    with pytest.raises(AssertionError, match="lost its probe vocabulary"):
+        documented_probe_names(empty)
