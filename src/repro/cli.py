@@ -721,7 +721,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         collection = recorder.collection
         add_serve_metrics(
             collection, server.recorder,
-            budget_s=spec.latency_budget_ms / 1e3, wall_s=server.wall_s,
+            budget_s=spec.latency_budget_ms / 1e3,
+            makespan_s=server.makespan_s,
             labels={"engine": server.engine.name,
                     "arrival": spec.arrival},
             trace_dropped=tracer.dropped if tracer is not None else 0)

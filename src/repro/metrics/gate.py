@@ -208,8 +208,8 @@ def baseline_from_bench(bench_doc: Mapping[str, Any], *,
     """Seed a baseline document from a measured BENCH document.
 
     Used to (re)generate ``benchmarks/baseline.json``: wall/throughput
-    metrics get machine-variance tolerances, experiment anchors get tight
-    ones.
+    metrics get machine-variance tolerances; simulation outputs
+    (experiment anchors, cycle fractions, ``serve:*``) get tight ones.
     """
     metrics: Dict[str, Dict[str, Any]] = {}
     for name, value in extract_metrics(bench_doc).items():
@@ -219,21 +219,9 @@ def baseline_from_bench(bench_doc: Mapping[str, Any], *,
         elif name.endswith(":throughput"):
             entry = {"value": value, "tolerance": throughput_tolerance,
                      "direction": "higher"}
-        elif name.startswith("serve:"):
-            # serve latencies are host wall time under load -> generous,
-            # lower is better; rates/attainment gate higher-is-better
-            if name.endswith("_ms"):
-                entry = {"value": value, "tolerance": wall_tolerance,
-                         "direction": "lower"}
-            elif name.endswith(":throughput_rps") or \
-                    name.endswith(":attainment"):
-                entry = {"value": value,
-                         "tolerance": throughput_tolerance,
-                         "direction": "higher"}
-            else:  # shed/timeout counters: more of them is a regression
-                entry = {"value": value, "tolerance": wall_tolerance,
-                         "direction": "lower"}
         else:
+            # experiment anchors, cycle fractions and the serve SLO block
+            # (served on a virtual clock) are simulation outputs
             entry = {"value": value, "tolerance": experiment_tolerance,
                      "direction": "near"}
         metrics[name] = entry

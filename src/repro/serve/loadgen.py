@@ -1,4 +1,4 @@
-"""Open-loop load generation: deterministic arrival processes + driver.
+"""Open-loop load generation: deterministic arrival processes.
 
 Open-loop means arrival times are fixed *before* the run — request ``k``
 is submitted at its scheduled offset whether or not earlier requests
@@ -15,15 +15,14 @@ closed-loop driver self-throttles and hides it).  Three processes:
 Everything derives from ``random.Random(seed)``, so a (process, rate,
 count, seed, burst_factor) tuple replays the identical schedule on any
 host.  :func:`serve_scenario` is the one-stop entry the CLI, the bench
-registry and the tests share: build the scenario's seeded inputs, start
-a server, drive the schedule, and return the SLO report document.
+registry and the tests share: build the scenario's seeded inputs, serve
+the schedule, and return the SLO report document.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.scenario.schema import ARRIVAL_PROCESSES, Scenario
@@ -87,40 +86,15 @@ def summarize_offsets(offsets: List[float]) -> Dict[str, float]:
     }
 
 
-async def drive(server, rows, offsets: List[float]) -> List[Any]:
-    """Submit ``rows[k]`` at ``offsets[k]``; returns completed requests.
-
-    The schedule is anchored to the loop clock at entry, so a slow batch
-    delays nothing: every submission fires at its pre-computed offset
-    (open loop), and the call returns once all futures resolved.
-    """
-    if len(rows) < len(offsets):
-        raise ConfigurationError(
-            f"loadgen: {len(offsets)} offsets but only {len(rows)} input "
-            "rows")
-    loop = asyncio.get_running_loop()
-    start = loop.time()
-
-    async def one(index: int, offset: float):
-        delay = start + offset - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        return await server.submit(rows[index])
-
-    return list(await asyncio.gather(
-        *(one(index, offset) for index, offset in enumerate(offsets))))
-
-
 def serve_scenario(scenario: Scenario, engine: Optional[str] = None,
                    session=None, with_server: bool = False):
     """Run one full serve session and return the SLO report document.
 
     The scenario's ``serve`` block supplies the arrival schedule and the
     batching policy; inputs are the scenario's seeded sign-domain rows
-    (cycled if ``serve.requests`` exceeds the generated pool).  Must be
-    called without a running event loop (it owns ``asyncio.run``).
+    (cycled if ``serve.requests`` exceeds the generated pool).
     ``with_server=True`` returns ``(report, server)`` so callers can
-    export the recorder's histograms (the CLI's ``--metrics-out``).
+    export the recorder's samples (the CLI's ``--metrics-out``).
     """
     from repro.scenario.materialize import build_inputs
     from repro.serve.report import build_slo_report
@@ -133,14 +107,8 @@ def serve_scenario(scenario: Scenario, engine: Optional[str] = None,
     offsets = arrival_offsets(spec.arrival, spec.rate_rps, spec.requests,
                               seed=scenario.seed,
                               burst_factor=spec.burst_factor)
-
-    async def session_main():
-        server = NCPUServer(scenario, engine=engine, session=session)
-        async with server:
-            await drive(server, rows, offsets)
-        return server
-
-    server = asyncio.run(session_main())
+    server = NCPUServer(scenario, engine=engine, session=session)
+    server.run(rows, offsets)
     report = build_slo_report(server, offsets)
     if with_server:
         return report, server

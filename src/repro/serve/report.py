@@ -1,12 +1,13 @@
 """The SLO report: one JSON document per serve session, plus markdown.
 
-``repro serve`` / ``repro loadgen`` end by emitting a
-``repro-serve/1`` document — manifest-stamped like every other exported
+``repro serve`` ends by emitting a
+``repro-serve/2`` document — manifest-stamped like every other exported
 artifact, so a report is attributable to a config hash, engine, seed and
 git SHA.  :func:`validate_slo_report` is the schema check the CI smoke
 step and the gate round-trip rely on (quantile monotonicity, request
 count conservation, attainment in [0, 1]); :func:`render_slo_report`
-prints the human-readable summary table.
+prints the human-readable summary table.  Every time in the document
+is virtual: seconds on the modelled device clock, never host time.
 """
 
 from __future__ import annotations
@@ -17,27 +18,32 @@ from typing import Any, Dict, List, Mapping
 
 from repro.obs import PHASES
 
+#: the ``ServeSpec`` fields that make up the report's policy block
+_POLICY_KEYS = ("batch_window_ms", "max_batch", "max_queue_depth",
+                "timeout_ms", "latency_budget_ms", "slo_target")
+
 #: schema tag of the serve SLO report document
-SLO_SCHEMA = "repro-serve/1"
+SLO_SCHEMA = "repro-serve/2"
 
 
 def build_slo_report(server, offsets: List[float]) -> Dict[str, Any]:
     """Assemble the report document from a finished server run."""
-    from repro.metrics import RunManifest
+    from repro.metrics import RunManifest, quantile
     from repro.serve.loadgen import summarize_offsets
+    from repro.serve.slo import summary_ms
 
     recorder = server.recorder
-    spec = server.scenario.serve
-    budget_s = server.policy.latency_budget_s
-    attainment = recorder.attainment(budget_s)
+    spec = server.spec
+    attainment = recorder.attainment(spec.latency_budget_ms / 1e3)
     sizes = recorder.batch_sizes
+    samples = recorder.phase_samples_s
     doc: Dict[str, Any] = {
         "schema": SLO_SCHEMA,
         "manifest": RunManifest.collect(server.session).as_dict(),
         "scenario": server.scenario.to_dict(),
         "engine": server.engine.name,
         "profile": server.scenario.device.profile,
-        "policy": server.policy.as_dict(),
+        "policy": {key: getattr(spec, key) for key in _POLICY_KEYS},
         "arrival": dict({"process": spec.arrival,
                          "rate_rps": spec.rate_rps,
                          "burst_factor": spec.burst_factor,
@@ -49,36 +55,36 @@ def build_slo_report(server, offsets: List[float]) -> Dict[str, Any]:
             "shed": recorder.shed,
             "timeout": recorder.timeouts,
         },
-        "latency_ms": recorder.latency.summary_ms()
-        if recorder.latency.count else None,
+        "latency_ms": summary_ms(recorder.latencies_s)
+        if recorder.latencies_s else None,
         "phases_ms": {
-            phase: {"p50": recorder.phase_latency[phase].quantile(0.5) * 1e3,
-                    "p99": recorder.phase_latency[phase].quantile(0.99) * 1e3,
-                    "mean": recorder.phase_latency[phase].mean_s * 1e3}
+            phase: {"p50": quantile(samples[phase], 0.5) * 1e3,
+                    "p99": quantile(samples[phase], 0.99) * 1e3,
+                    "mean": sum(samples[phase]) / len(samples[phase]) * 1e3}
             for phase in PHASES
-        } if recorder.latency.count else None,
+        } if recorder.latencies_s else None,
         "batches": {
             "count": len(sizes),
             "size_mean": sum(sizes) / len(sizes) if sizes else 0.0,
             "size_max": max(sizes) if sizes else 0,
             "sim_cycles": server.sim_cycles,
             "sim_macs": server.sim_macs,
+            "clock_mhz": server.clock_hz / 1e6,
         },
         "queue": {
             "depth_peak": recorder.queue_depth_peak,
             "depth_mean": recorder.queue_depth_mean,
             "inflight_peak": recorder.inflight_peak,
         },
-        "wall_s": server.wall_s,
-        "throughput_rps": recorder.completed / server.wall_s
-        if server.wall_s > 0 else 0.0,
+        "makespan_s": server.makespan_s,
+        "throughput_rps": recorder.completed / server.makespan_s
+        if server.makespan_s > 0 else 0.0,
         "slo": {
-            "budget_ms": budget_s * 1e3,
-            "target": server.policy.slo_target,
+            "budget_ms": spec.latency_budget_ms,
+            "target": spec.slo_target,
             "attainment": attainment,
-            "met": attainment >= server.policy.slo_target,
+            "met": attainment >= spec.slo_target,
         },
-        "quantile_error_bound": recorder.latency.relative_error_bound,
     }
     return doc
 
@@ -90,7 +96,7 @@ def validate_slo_report(doc: Mapping[str, Any]) -> Dict[str, Any]:
     if doc.get("schema") != SLO_SCHEMA:
         raise ValueError(f"unknown SLO report schema {doc.get('schema')!r}")
     for key in ("manifest", "scenario", "engine", "policy", "arrival",
-                "requests", "batches", "queue", "slo", "wall_s",
+                "requests", "batches", "queue", "slo", "makespan_s",
                 "throughput_rps"):
         if key not in doc:
             raise ValueError(f"SLO report missing {key!r}")
@@ -186,12 +192,12 @@ def render_slo_report(doc: Mapping[str, Any]) -> str:
         f"max {doc['batches']['size_max']}); "
         f"queue peak {doc['queue']['depth_peak']}, "
         f"inflight peak {doc['queue']['inflight_peak']}",
-        f"throughput: {doc['throughput_rps']:.0f} rps over "
-        f"{doc['wall_s'] * 1e3:.1f} ms "
-        f"({doc['batches']['sim_cycles']} simulated cycles)",
+        f"throughput: {doc['throughput_rps']:.0f} rps over a "
+        f"{doc['makespan_s'] * 1e3:.3f} ms virtual makespan "
+        f"({doc['batches']['sim_cycles']} simulated cycles at "
+        f"{doc['batches']['clock_mhz']:g} MHz)",
         f"SLO {verdict}: {slo['attainment']:.1%} of requests under "
-        f"{slo['budget_ms']:g} ms (target {slo['target']:.0%}, quantile "
-        f"error bound {doc['quantile_error_bound']:.1%})",
+        f"{slo['budget_ms']:g} ms (target {slo['target']:.0%})",
         "",
     ]
     return "\n".join(lines)

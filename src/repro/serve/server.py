@@ -1,41 +1,42 @@
-"""The asyncio serving front-end: dynamic batching over a scenario model.
+"""The serving front-end: dynamic batching on a virtual clock.
 
-:class:`NCPUServer` accepts classification requests (one sign-domain
-input row each), coalesces them into dynamic batches — the first arrival
-opens a ``batch_window_s`` window, the batch closes when the window
-expires or ``max_batch`` rows arrived — and dispatches each batch to the
-configured execution engine through the accelerator's engine-dispatched
-batch path, off the event loop so arrivals keep flowing during compute.
+:class:`NCPUServer` replays a pre-computed open-loop arrival schedule
+against one modelled NCPU.  Time is virtual: a request is stamped with
+its scheduled arrival offset, and a batch occupies the single device for
+``timing.total_cycles / f`` seconds, where ``f`` is the scenario's
+device clock (:func:`device_clock_hz`).  Nothing reads the host clock,
+so one schedule always gives one report.
 
-Observability is the point: every request carries the full lifecycle
-timestamp chain (submit → enqueue → batch-assemble → dispatch →
-engine-infer → respond), published as ``serve.request`` /
-``serve.batch`` / ``serve.shed`` / ``serve.timeout`` probe events on the
-session :class:`~repro.sim.StatsRegistry` — so an installed tracer shows
-per-request Perfetto lanes with zero extra code here — and folded into
-the :class:`~repro.serve.slo.SLORecorder` as six-phase wall buckets that
-sum to the request latency (the ``repro.obs`` vocabulary, applied to a
-request instead of a run).
+The policy:
+
+* **admission** — an arrival is shed when ``max_queue_depth`` requests
+  are already queued;
+* **batching** — a batch opens at the head of the queue once the device
+  is free, and closes ``batch_window_ms`` later or as soon as it holds
+  ``max_batch`` requests;
+* **timeouts** — a request older than ``timeout_ms`` when its batch
+  closes is timed out.
+
+Each batch makes exactly one ``BNNAccelerator.infer_batch`` call, so
+predictions are bit-identical to a direct batched call.  A request's
+latency splits into the six ``repro.obs`` phases: the queue wait
+(submit → dispatch) is ``overhead``; the batch's device time is split by
+:func:`~repro.obs.attribution.bnn_phase_cycles`; ``preprocess`` and
+``postprocess`` are 0.  The lifecycle is published as ``serve.request``
+/ ``serve.batch`` / ``serve.shed`` / ``serve.timeout`` probe events on
+the session :class:`~repro.sim.StatsRegistry`, so an installed tracer
+shows per-request Perfetto lanes with no extra code here.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs import (
-    INFERENCE,
-    INIT,
-    MEMORY_IO,
-    OVERHEAD,
-    PHASES,
-    POSTPROCESS,
-    PREPROCESS,
-)
-from repro.scenario.schema import Scenario, ServeSpec
+from repro.obs import OVERHEAD, PHASES, bnn_phase_cycles
+from repro.scenario.schema import DevicePoint, Scenario
 from repro.serve.slo import SLORecorder
 
 #: request outcomes
@@ -43,57 +44,36 @@ OK = "ok"
 SHED = "shed"
 TIMEOUT = "timeout"
 
-#: queue sentinel that tells the batcher to drain and exit
-_CLOSE = object()
 
+def device_clock_hz(device: DevicePoint) -> float:
+    """The modelled core clock of a scenario's device point, in Hz.
 
-@dataclass(frozen=True)
-class ServePolicy:
-    """Batching/admission knobs in seconds (derived from a ServeSpec)."""
+    ``device.clock_mhz`` when set, otherwise the profile's frequency
+    model evaluated at ``device.vdd``.
+    """
+    if device.clock_mhz is not None:
+        return device.clock_mhz * 1e6
+    from repro.power import get_profile, models_for
 
-    batch_window_s: float = 0.002
-    max_batch: int = 16
-    max_queue_depth: int = 256
-    timeout_s: float = 0.25
-    latency_budget_s: float = 0.05
-    slo_target: float = 0.99
-
-    @classmethod
-    def from_spec(cls, spec: ServeSpec) -> "ServePolicy":
-        return cls(batch_window_s=spec.batch_window_ms / 1e3,
-                   max_batch=spec.max_batch,
-                   max_queue_depth=spec.max_queue_depth,
-                   timeout_s=spec.timeout_ms / 1e3,
-                   latency_budget_s=spec.latency_budget_ms / 1e3,
-                   slo_target=spec.slo_target)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"batch_window_ms": self.batch_window_s * 1e3,
-                "max_batch": self.max_batch,
-                "max_queue_depth": self.max_queue_depth,
-                "timeout_ms": self.timeout_s * 1e3,
-                "latency_budget_ms": self.latency_budget_s * 1e3,
-                "slo_target": self.slo_target}
+    return models_for(get_profile(device.profile)).frequency.f_hz(device.vdd)
 
 
 @dataclass
 class Request:
-    """One served classification request and its lifecycle timestamps.
+    """One served classification request and its lifecycle stamps.
 
-    All ``t_*`` fields are seconds relative to the server start;
-    unreached stages stay at 0.0 (a shed request never assembles).
+    All ``t_*`` fields are virtual seconds from the schedule origin.  A
+    shed request responds at submit; a timed-out one at its batch's
+    close and is never dispatched (``t_dispatch`` stays 0.0).
     """
 
     index: int
+    t_submit: float
     status: str = OK
     prediction: Optional[int] = None
     batch_index: Optional[int] = None
     batch_size: int = 0
-    t_submit: float = 0.0
-    t_enqueue: float = 0.0
-    t_assembled: float = 0.0
     t_dispatch: float = 0.0
-    t_infer_done: float = 0.0
     t_respond: float = 0.0
     phases_s: Dict[str, float] = field(default_factory=dict)
 
@@ -101,57 +81,23 @@ class Request:
     def latency_s(self) -> float:
         return self.t_respond - self.t_submit
 
-    def finalize_phases(self) -> Dict[str, float]:
-        """Split the request's latency into the six obs phases.
-
-        The lifecycle segments partition ``[t_submit, t_respond]``:
-        the stamp chain is walked in order and attribution stops at the
-        first unreached stage (its stamp still 0.0), so a truncated
-        lifecycle — shed at admission, timed out at assembly — puts its
-        unattributable tail in ``overhead`` and the buckets always sum
-        to the latency (clamped >= 0 against clock jitter).
-        """
-        chain = (
-            (INIT, self.t_enqueue),
-            (PREPROCESS, self.t_assembled),
-            (MEMORY_IO, self.t_dispatch),
-            (INFERENCE, self.t_infer_done),
-            (POSTPROCESS, self.t_respond),
-        )
-        buckets = {phase: 0.0 for phase in PHASES}
-        previous = self.t_submit
-        for phase, stamp in chain:
-            if stamp < previous:  # lifecycle truncated at this stage
-                break
-            buckets[phase] = stamp - previous
-            previous = stamp
-        attributed = previous - self.t_submit
-        buckets[OVERHEAD] = max(0.0, self.latency_s - attributed)
-        self.phases_s = buckets
-        return buckets
-
-
-class _Pending:
-    """Queue entry: the request record, its input row, and its future."""
-
-    __slots__ = ("request", "row", "future")
-
-    def __init__(self, request: Request, row, future: asyncio.Future):
-        self.request = request
-        self.row = row
-        self.future = future
+    def respond(self, t_respond: float, status: str) -> None:
+        """Resolve without device work: the whole wait is overhead."""
+        self.status = status
+        self.t_respond = t_respond
+        self.phases_s = dict.fromkeys(PHASES, 0.0)
+        self.phases_s[OVERHEAD] = t_respond - self.t_submit
 
 
 class NCPUServer:
     """Dynamic-batching inference server over one bnn scenario.
 
-    Use as an async context manager (or :meth:`start` / :meth:`stop`);
-    :meth:`submit` returns the completed :class:`Request`.  One server
-    instance belongs to one event loop.
+    :meth:`run` serves one arrival schedule; one server serves one
+    schedule.
     """
 
     def __init__(self, scenario: Scenario, engine: Optional[str] = None,
-                 policy: Optional[ServePolicy] = None, session=None):
+                 session=None):
         from repro.bnn import BNNAccelerator
         from repro.engine import resolve_engine
         from repro.scenario.materialize import build_model
@@ -163,170 +109,119 @@ class NCPUServer:
                 f"kind={scenario.workload.kind!r}; the serve layer batches "
                 "bnn classification scenarios only")
         self.scenario = scenario
-        self.policy = policy if policy is not None \
-            else ServePolicy.from_spec(scenario.serve)
+        self.spec = scenario.serve
         self.engine = resolve_engine(engine or scenario.engine.name)
         self.session = session if session is not None else get_session()
         self.model = build_model(scenario)
         self.accelerator = BNNAccelerator()
         self.stream_weights = scenario.batch_policy == "stream"
+        self.clock_hz = device_clock_hz(scenario.device)
         self.recorder = SLORecorder()
         self.requests: List[Request] = []
         self.sim_cycles = 0
         self.sim_macs = 0
-        self._queue: Optional[asyncio.Queue] = None
-        self._batcher: Optional[asyncio.Task] = None
-        self._t0 = 0.0
-        self._t_stop: Optional[float] = None
-        self._n_submitted = 0
-        self._n_resolved = 0
-        self._n_batches = 0
+        self.makespan_s = 0.0
 
-    # -- lifecycle -------------------------------------------------------
-    async def start(self) -> "NCPUServer":
-        if self._batcher is not None:
-            raise RuntimeError("server already started")
-        self._queue = asyncio.Queue()
-        self._t0 = time.perf_counter()
-        self._t_stop = None
-        self._batcher = asyncio.ensure_future(self._batch_loop())
-        return self
+    def run(self, rows: Sequence, offsets: Sequence[float]
+            ) -> List[Request]:
+        """Submit ``rows[k]`` at virtual time ``offsets[k]`` (open loop)
+        and serve until every request resolved; returns the requests."""
+        if len(rows) < len(offsets):
+            raise ConfigurationError(
+                f"serve: {len(offsets)} offsets but only {len(rows)} input "
+                "rows")
+        spec = self.spec
+        window_s = spec.batch_window_ms / 1e3
+        queue = deque()  # admitted (request, row) awaiting a batch
+        free_at = 0.0  # when the device can take the next batch
+        running = 0  # requests of the batch on the device until free_at
+        k = 0
+        while True:
+            # arrivals while the device is busy, or the one that opens
+            # the next batch on an idle device, join the queue
+            while k < len(offsets) and (not queue or offsets[k] < free_at):
+                busy = running if offsets[k] < free_at else 0
+                entry = self._arrive(k, offsets[k], rows[k], len(queue),
+                                     len(queue) + busy)
+                if entry is not None:
+                    queue.append(entry)
+                k += 1
+            if not queue:
+                break
+            t_open = max(free_at, queue[0][0].t_submit)
+            batch = [queue.popleft()
+                     for _ in range(min(len(queue), spec.max_batch))]
+            t_close = t_open + window_s
+            # the queue is empty while the batch has room, so window
+            # arrivals are never shed and join the batch at once
+            while len(batch) < spec.max_batch and k < len(offsets) \
+                    and offsets[k] <= t_close:
+                batch.append(self._arrive(k, offsets[k], rows[k], 0,
+                                          len(batch)))
+                k += 1
+            if len(batch) == spec.max_batch:
+                t_close = max(t_open, batch[-1][0].t_submit)
+            free_at, running = self._dispatch(batch, t_close, len(queue))
+        self.makespan_s = max(request.t_respond for request in self.requests)
+        return self.requests
 
-    async def stop(self) -> None:
-        """Drain queued work, dispatch the final batch, stop the batcher."""
-        if self._batcher is None:
-            return
-        await self._queue.put(_CLOSE)
-        await self._batcher
-        self._batcher = None
-        self._t_stop = time.perf_counter()
-
-    async def __aenter__(self) -> "NCPUServer":
-        return await self.start()
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.stop()
-
-    @property
-    def wall_s(self) -> float:
-        """Serving wall time: start .. stop (or now while running)."""
-        end = self._t_stop if self._t_stop is not None else time.perf_counter()
-        return end - self._t0
-
-    def _now(self) -> float:
-        return time.perf_counter() - self._t0
-
-    @property
-    def inflight(self) -> int:
-        return self._n_submitted - self._n_resolved
-
-    # -- request path ----------------------------------------------------
-    async def submit(self, row) -> Request:
-        """Serve one input row; returns the completed request record.
-
-        Admission control is synchronous: over ``max_queue_depth`` the
-        request is shed immediately (no queue slot, no batch work).
-        """
-        if self._batcher is None:
-            raise RuntimeError("server is not running (use 'async with')")
-        request = Request(index=self._n_submitted, t_submit=self._now())
-        self._n_submitted += 1
+    def _arrive(self, index: int, t: float, row, depth: int, others: int):
+        """Admit or shed one arrival; returns its queue entry or None."""
+        request = Request(index=index, t_submit=t)
         self.requests.append(request)
-        depth = self._queue.qsize()
-        self.recorder.record_submit(depth, self.inflight)
-        if depth >= self.policy.max_queue_depth:
-            request.status = SHED
-            request.t_respond = self._now()
-            request.finalize_phases()
-            self._n_resolved += 1
+        self.recorder.record_submit(depth, others + 1)
+        if depth >= self.spec.max_queue_depth:
+            request.respond(t, SHED)
             self.recorder.record_shed()
             self.session.stats.incr("serve.requests.shed")
             self.session.stats.emit("serve.shed", {
-                "request": request.index, "t_s": request.t_respond,
-                "queue_depth": depth})
-            return request
-        future = asyncio.get_running_loop().create_future()
-        request.t_enqueue = self._now()
-        self._queue.put_nowait(_Pending(request, row, future))
+                "request": index, "t_s": t, "queue_depth": depth})
+            return None
         self.session.stats.incr("serve.requests.submitted")
-        await future
-        return request
+        return request, row
 
-    # -- batcher ---------------------------------------------------------
-    async def _batch_loop(self) -> None:
-        closing = False
-        while not closing:
-            first = await self._queue.get()
-            if first is _CLOSE:
-                break
-            batch = [first]
-            deadline = asyncio.get_running_loop().time() \
-                + self.policy.batch_window_s
-            while len(batch) < self.policy.max_batch:
-                remaining = deadline - asyncio.get_running_loop().time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(),
-                                                  timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
-                if item is _CLOSE:
-                    closing = True
-                    break
-                batch.append(item)
-            await self._dispatch(batch)
-        # drain anything still queued after the close sentinel
-        tail: List[_Pending] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is not _CLOSE:
-                tail.append(item)
-        for start in range(0, len(tail), self.policy.max_batch):
-            await self._dispatch(tail[start:start + self.policy.max_batch])
-
-    async def _dispatch(self, batch: List[_Pending]) -> None:
+    def _dispatch(self, batch, t_close: float, queue_depth: int):
+        """Close a batch at ``t_close``; returns (device free time,
+        requests on the device)."""
         import numpy as np
 
-        t_assembled = self._now()
-        live: List[_Pending] = []
-        for pending in batch:
-            pending.request.t_assembled = t_assembled
-            age = t_assembled - pending.request.t_submit
-            if age > self.policy.timeout_s:
-                self._resolve_timeout(pending, age)
+        timeout_s = self.spec.timeout_ms / 1e3
+        live = []
+        for request, row in batch:
+            age = t_close - request.t_submit
+            if age > timeout_s:
+                request.respond(t_close, TIMEOUT)
+                self.recorder.record_timeout()
+                self.session.stats.incr("serve.requests.timeout")
+                self.session.stats.emit("serve.timeout", {
+                    "request": request.index, "t_s": t_close,
+                    "age_s": age})
             else:
-                live.append(pending)
+                live.append((request, row))
         if not live:
-            return
-        batch_index = self._n_batches
-        self._n_batches += 1
-        matrix = np.stack([pending.row for pending in live])
-        t_dispatch = self._now()
-        loop = asyncio.get_running_loop()
-        predictions, timing = await loop.run_in_executor(
-            None, lambda: self.accelerator.infer_batch(
-                self.model, matrix, stream_weights=self.stream_weights,
-                engine=self.engine))
-        t_infer_done = self._now()
-        self.sim_cycles += int(timing.total_cycles)
+            return t_close, 0
+        batch_index = len(self.recorder.batch_sizes)
+        predictions, timing = self.accelerator.infer_batch(
+            self.model, np.stack([row for _, row in live]),
+            stream_weights=self.stream_weights, engine=self.engine)
+        cycles = int(timing.total_cycles)
+        t_done = t_close + cycles / self.clock_hz
+        device_phases = {phase: phase_cycles / self.clock_hz
+                         for phase, phase_cycles
+                         in bnn_phase_cycles(timing).items()}
+        self.sim_cycles += cycles
         self.sim_macs += int(timing.macs)
         self.recorder.record_batch(len(live))
         self.session.stats.incr("serve.batches")
         self.session.stats.incr("serve.batch_rows", len(live))
-        for position, pending in enumerate(live):
-            request = pending.request
-            request.t_dispatch = t_dispatch
-            request.t_infer_done = t_infer_done
+        for position, (request, _) in enumerate(live):
             request.prediction = int(predictions[position])
             request.batch_index = batch_index
             request.batch_size = len(live)
-            request.t_respond = self._now()
-            request.finalize_phases()
-            self._n_resolved += 1
+            request.t_dispatch = t_close
+            request.t_respond = t_done
+            request.phases_s = dict(device_phases)
+            request.phases_s[OVERHEAD] = t_close - request.t_submit
             self.recorder.record_completion(request.latency_s,
                                             request.phases_s)
             self.session.stats.incr("serve.requests.completed")
@@ -334,30 +229,10 @@ class NCPUServer:
                 "request": request.index, "status": request.status,
                 "batch": batch_index, "batch_size": len(live),
                 "submit_s": request.t_submit,
-                "enqueue_s": request.t_enqueue,
-                "assembled_s": request.t_assembled,
                 "dispatch_s": request.t_dispatch,
-                "infer_done_s": request.t_infer_done,
                 "respond_s": request.t_respond})
-            if not pending.future.done():
-                pending.future.set_result(request)
         self.session.stats.emit("serve.batch", {
             "batch": batch_index, "size": len(live),
-            "assembled_s": t_assembled, "dispatch_s": t_dispatch,
-            "infer_done_s": t_infer_done,
-            "queue_depth": self._queue.qsize(),
-            "cycles": int(timing.total_cycles)})
-
-    def _resolve_timeout(self, pending: _Pending, age_s: float) -> None:
-        request = pending.request
-        request.status = TIMEOUT
-        request.t_respond = self._now()
-        request.finalize_phases()
-        self._n_resolved += 1
-        self.recorder.record_timeout()
-        self.session.stats.incr("serve.requests.timeout")
-        self.session.stats.emit("serve.timeout", {
-            "request": request.index, "t_s": request.t_respond,
-            "age_s": age_s})
-        if not pending.future.done():
-            pending.future.set_result(request)
+            "dispatch_s": t_close, "done_s": t_done,
+            "queue_depth": queue_depth, "cycles": cycles})
+        return t_done, len(live)

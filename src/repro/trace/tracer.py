@@ -287,9 +287,9 @@ class ProbeBridge:
         elif event == "serve.request":
             self._serve_request_spans(payload)
         elif event == "serve.batch":
-            # wall seconds -> microsecond ticks
-            start = float(payload.get("assembled_s", 0.0)) * 1e6
-            end = float(payload.get("infer_done_s", start)) * 1e6
+            # virtual seconds -> microsecond ticks
+            start = float(payload.get("dispatch_s", 0.0)) * 1e6
+            end = float(payload.get("done_s", start)) * 1e6
             tracer.complete(f"batch x{payload.get('size', 0)}",
                             track=f"{SERVE_TRACK}.batcher", start=start,
                             dur=max(end - start, 0.0), cat="serve",
@@ -297,7 +297,7 @@ class ProbeBridge:
                             size=payload.get("size", 0),
                             cycles=payload.get("cycles", 0))
             tracer.counter("queue_depth", track=f"{SERVE_TRACK}.queue",
-                           ts=end,
+                           ts=start,
                            value=float(payload.get("queue_depth", 0)),
                            cat="serve")
         elif event in ("serve.shed", "serve.timeout"):
@@ -308,20 +308,17 @@ class ProbeBridge:
     def _serve_request_spans(self, payload: Mapping[str, Any]) -> None:
         """One request's lifecycle chain as spans on a rotating lane.
 
-        The five lifecycle segments (enqueue → batch-assemble → dispatch
-        → engine-infer → respond) are laid with absolute wall-us
-        timestamps; lanes rotate over :data:`SERVE_REQUEST_LANES` tracks
-        so long load runs stay readable (the exact request id rides in
-        the span args).
+        The two lifecycle segments (queue wait: submit → dispatch, then
+        engine-infer: dispatch → respond) are laid with absolute
+        virtual-us timestamps; lanes rotate over
+        :data:`SERVE_REQUEST_LANES` tracks so long load runs stay
+        readable (the exact request id rides in the span args).
         """
         tracer = self.tracer
         index = int(payload.get("request", 0))
         track = f"{SERVE_TRACK}.req{index % SERVE_REQUEST_LANES:02d}"
-        chain = (("enqueue", "submit_s", "enqueue_s"),
-                 ("batch_assemble", "enqueue_s", "assembled_s"),
-                 ("dispatch", "assembled_s", "dispatch_s"),
-                 ("engine_infer", "dispatch_s", "infer_done_s"),
-                 ("respond", "infer_done_s", "respond_s"))
+        chain = (("queue_wait", "submit_s", "dispatch_s"),
+                 ("engine_infer", "dispatch_s", "respond_s"))
         for name, start_key, end_key in chain:
             start = float(payload.get(start_key, 0.0)) * 1e6
             end = float(payload.get(end_key, 0.0)) * 1e6

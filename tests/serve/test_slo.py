@@ -1,142 +1,12 @@
-"""Streaming quantile estimator + serve metric export."""
-
-import math
-import random
+"""SLO recorder (exact per-request samples) + serve metric export."""
 
 import pytest
 
 from repro.metrics import MetricsCollection, to_openmetrics, \
     validate_openmetrics
 from repro.obs import PHASES
-from repro.serve import (
-    SERVE_METRIC_HELP,
-    SLO_QUANTILES,
-    LatencyHistogram,
-    SLORecorder,
-    add_serve_metrics,
-)
-
-
-class TestLatencyHistogram:
-    def test_single_sample_is_exact(self):
-        histogram = LatencyHistogram()
-        histogram.observe(0.0123)
-        for q in (0.0, 0.5, 0.99, 1.0):
-            assert histogram.quantile(q) == pytest.approx(0.0123)
-        assert histogram.mean_s == pytest.approx(0.0123)
-
-    def test_empty_histogram_raises(self):
-        histogram = LatencyHistogram()
-        with pytest.raises(ValueError, match="empty"):
-            histogram.quantile(0.5)
-        with pytest.raises(ValueError, match="empty"):
-            _ = histogram.mean_s
-        with pytest.raises(ValueError, match="empty"):
-            histogram.summary_ms()
-
-    def test_rejects_bad_samples_and_quantiles(self):
-        histogram = LatencyHistogram()
-        with pytest.raises(ValueError, match=">= 0"):
-            histogram.observe(-1e-3)
-        with pytest.raises(ValueError, match=">= 0"):
-            histogram.observe(float("nan"))
-        histogram.observe(0.001)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            histogram.quantile(1.5)
-
-    def test_rejects_bad_layouts(self):
-        with pytest.raises(ValueError, match="lo_s"):
-            LatencyHistogram(lo_s=0.0)
-        with pytest.raises(ValueError, match="lo_s"):
-            LatencyHistogram(lo_s=1.0, hi_s=0.5)
-        with pytest.raises(ValueError, match="buckets_per_decade"):
-            LatencyHistogram(buckets_per_decade=0)
-
-    def test_uniform_golden_quantiles_within_error_bound(self):
-        """Quantiles of a known distribution land within the advertised
-        relative error bound (plus nearest-rank discretisation)."""
-        histogram = LatencyHistogram()
-        n = 10_000
-        # uniform grid on [1ms, 101ms]: true quantile q is 1ms + q*100ms
-        for index in range(n):
-            histogram.observe(1e-3 + index / (n - 1) * 100e-3)
-        bound = histogram.relative_error_bound
-        for q in (0.5, 0.9, 0.95, 0.99):
-            true = 1e-3 + q * 100e-3
-            estimate = histogram.quantile(q)
-            assert abs(estimate - true) / true < bound + 2.0 / n
-
-    def test_lognormal_golden_quantiles(self):
-        rng = random.Random(7)
-        samples = sorted(rng.lognormvariate(-5.0, 1.0) for _ in range(5000))
-        histogram = LatencyHistogram()
-        for sample in samples:
-            histogram.observe(sample)
-        bound = histogram.relative_error_bound
-        for q in SLO_QUANTILES:
-            true = samples[min(len(samples) - 1,
-                               math.ceil(q * len(samples)) - 1)]
-            assert abs(histogram.quantile(q) - true) / true < bound * 2
-
-    def test_out_of_range_samples_land_in_edge_buckets(self):
-        histogram = LatencyHistogram(lo_s=1e-3, hi_s=1.0)
-        histogram.observe(1e-6)   # underflow bucket
-        histogram.observe(50.0)   # overflow bucket
-        assert histogram.count == 2
-        assert histogram.counts[0] == 1 and histogram.counts[-1] == 1
-        # estimates degrade to the range edges, exact extremes survive
-        assert histogram.quantile(0.0) == pytest.approx(1e-3)
-        assert histogram.quantile(1.0) == pytest.approx(1.0)
-        assert histogram.min_s == pytest.approx(1e-6)
-        assert histogram.max_s == pytest.approx(50.0)
-
-    def test_count_at_or_below(self):
-        histogram = LatencyHistogram()
-        for value in (0.001, 0.002, 0.004, 0.2):
-            histogram.observe(value)
-        assert histogram.count_at_or_below(0.05) == 3
-        assert histogram.count_at_or_below(1.0) == 4
-        assert histogram.count_at_or_below(1e-9) == 0
-
-    def test_merge_is_associative_and_matches_single_stream(self):
-        rng = random.Random(11)
-        samples = [rng.expovariate(100.0) for _ in range(900)]
-        whole = LatencyHistogram()
-        parts = [LatencyHistogram() for _ in range(3)]
-        for index, sample in enumerate(samples):
-            whole.observe(sample)
-            parts[index % 3].observe(sample)
-        left = LatencyHistogram().merge(parts[0]).merge(parts[1])
-        left.merge(parts[2])
-        right_tail = LatencyHistogram().merge(parts[1]).merge(parts[2])
-        right = LatencyHistogram().merge(parts[0]).merge(right_tail)
-        for merged in (left, right):
-            assert merged.counts == whole.counts
-            assert merged.count == whole.count
-            assert merged.sum_s == pytest.approx(whole.sum_s)
-            assert merged.min_s == whole.min_s
-            assert merged.max_s == whole.max_s
-            for q in SLO_QUANTILES:
-                assert merged.quantile(q) == whole.quantile(q)
-
-    def test_merge_rejects_different_layouts(self):
-        with pytest.raises(ValueError, match="bucket layouts"):
-            LatencyHistogram().merge(LatencyHistogram(buckets_per_decade=10))
-
-    def test_summary_ms_block(self):
-        histogram = LatencyHistogram()
-        for value in (0.001, 0.002, 0.003):
-            histogram.observe(value)
-        block = histogram.summary_ms()
-        assert set(block) == {"p50", "p95", "p99", "mean", "min", "max"}
-        assert block["min"] == pytest.approx(1.0)
-        assert block["max"] == pytest.approx(3.0)
-        assert block["p50"] <= block["p95"] <= block["p99"]
-
-    def test_error_bound_formula(self):
-        histogram = LatencyHistogram(buckets_per_decade=50)
-        assert histogram.relative_error_bound == \
-            pytest.approx(10.0 ** 0.01 - 1.0)
+from repro.serve import SERVE_METRIC_HELP, SLORecorder, add_serve_metrics
+from repro.serve.slo import summary_ms
 
 
 class TestSLORecorder:
@@ -169,11 +39,29 @@ class TestSLORecorder:
         assert recorder.attainment(1.0) == pytest.approx(1.0)
         assert SLORecorder().attainment(1.0) == 0.0
 
-    def test_phase_histograms_cover_vocabulary(self):
+    def test_phase_samples_cover_vocabulary(self):
         recorder = self.filled()
-        assert set(recorder.phase_latency) == set(PHASES)
+        assert set(recorder.phase_samples_s) == set(PHASES)
         for phase in PHASES:
-            assert recorder.phase_latency[phase].count == 2
+            assert len(recorder.phase_samples_s[phase]) == 2
+
+    def test_attainment_counts_the_budget_itself(self):
+        recorder = SLORecorder()
+        for latency in (0.010, 0.050, 0.051):
+            recorder.record_completion(latency, {})
+        assert recorder.attainment(0.050) == pytest.approx(2 / 3)
+
+
+class TestSummaryMs:
+    def test_exact_quantiles_of_the_samples(self):
+        block = summary_ms([0.004, 0.001, 0.003, 0.002, 0.005])
+        assert block == pytest.approx({
+            "p50": 3.0, "p95": 4.8, "p99": 4.96, "mean": 3.0, "min": 1.0,
+            "max": 5.0})
+
+    def test_single_sample_is_every_quantile(self):
+        assert summary_ms([0.0123]) == pytest.approx(dict.fromkeys(
+            ("p50", "p95", "p99", "mean", "min", "max"), 12.3))
 
 
 class TestAddServeMetrics:
@@ -181,7 +69,8 @@ class TestAddServeMetrics:
         collection = MetricsCollection()
         recorder = recorder if recorder is not None \
             else TestSLORecorder().filled()
-        add_serve_metrics(collection, recorder, budget_s=0.05, wall_s=0.5,
+        add_serve_metrics(collection, recorder, budget_s=0.05,
+                          makespan_s=0.5,
                           labels={"engine": "fast"}, **kwargs)
         return collection
 
@@ -212,7 +101,7 @@ class TestAddServeMetrics:
     def test_empty_recorder_skips_quantiles(self):
         collection = MetricsCollection()
         add_serve_metrics(collection, SLORecorder(), budget_s=0.05,
-                          wall_s=0.0)
+                          makespan_s=0.0)
         emitted = {series.name for series in collection.series()}
         assert "repro_serve_latency_seconds" not in emitted
         assert "repro_serve_batch_size" not in emitted
