@@ -8,7 +8,7 @@ Run:  python examples/custom_program.py
 """
 
 from repro.core import NCPUSoC
-from repro.cpu import run_pipelined
+from repro.cpu import run_program
 from repro.isa import assemble, disassemble
 
 # ---- assembling and inspecting --------------------------------------------
@@ -30,7 +30,7 @@ print("disassembly:")
 for line in disassemble(program.words[:6]):
     print("  " + line)
 
-cpu, result = run_pipelined(program)
+cpu, result = run_program(program)
 stats = result.stats
 print(f"\nfib(10) = {cpu.regs.read(10)}")
 print(f"cycles={stats.cycles} instructions={stats.instructions} "

@@ -1,6 +1,6 @@
 """Quickstart: the four layers of the library in ~80 lines.
 
-1. assemble and run RISC-V code on the cycle-accurate 5-stage pipeline,
+1. assemble and run RISC-V code on the CPU runtime (5-stage pipeline timing),
 2. train a small binary neural network and run it on the accelerator model,
 3. put both on one reconfigurable NCPU core and switch modes with the
    custom ``trans_bnn`` instruction,
@@ -17,10 +17,10 @@ import numpy as np
 from repro.bnn import BNNAccelerator, binarize_sign, train_bnn
 from repro.bnn.quantize import pack_bits, sign_to_bits
 from repro.core import NCPUCore
-from repro.cpu import run_pipelined
+from repro.cpu import run_program
 from repro.isa import assemble
 
-# ---- 1. a RISC-V program on the pipeline --------------------------------
+# ---- 1. a RISC-V program on the CPU runtime -----------------------------
 program = assemble("""
     li   a0, 0          # sum
     li   a1, 1          # i
@@ -31,7 +31,7 @@ loop:
     bne  a1, a2, loop
     ebreak
 """)
-cpu, result = run_pipelined(program)
+cpu, result = run_program(program)
 print(f"sum(1..100) = {cpu.regs.read(10)}  "
       f"({result.stats.instructions} instructions, "
       f"{result.stats.cycles} cycles, IPC {result.stats.ipc:.2f})")

@@ -192,9 +192,9 @@ class BNNAccelerator:
                     engine: Optional[str] = None):
         """Classify a batch; returns ``(predictions, BatchTiming)``.
 
-        ``engine`` selects the functional kernel through the
-        :mod:`repro.engine` registry — any registered name (``accurate``,
-        ``fast``) or engine object; ``None`` follows the session's
+        ``engine`` selects the BNN kernel of :mod:`repro.engine` — a
+        name (``accurate``, ``fast``) or engine object; ``None`` follows
+        the session's
         ``SimConfig.engine``.  Every engine classifies identically, and
         the timing/probe accounting (``bnn.batch``, cycle/MAC counters)
         is engine-independent — the fast engine changes how long the

@@ -1,4 +1,4 @@
-"""Exact whole-batch BNN inference (the BNN half of the ``fast`` engine).
+"""Exact whole-batch BNN inference (the ``fast`` engine's kernel).
 
 The scalar path (:meth:`BNNModel.scores`) evaluates one image at a time
 with int32 matmuls.  Binary accelerators compute the same dot products
@@ -22,11 +22,11 @@ are finished in int32 from the exact accumulator, so
 :func:`batched_scores` is **bit-identical** to the scalar path — the
 differential suite in ``tests/bnn/test_batched_equivalence.py`` pins
 this for every topology shape.  A model with a layer at or above the
-bound is handed to the ``accurate`` engine's int32 BNN half instead.
+bound is scored by the scalar int32 path instead.
 
 Callers normally go through :meth:`BNNAccelerator.infer_batch(...,
 engine=...) <repro.bnn.accelerator.BNNAccelerator.infer_batch>` or
-:func:`predict_with_engine`, which resolve through the engine registry
+:func:`predict_with_engine`, which resolve through :mod:`repro.engine`
 and default to the session's ``SimConfig.engine`` (``repro run
 --engine fast``, ``REPRO_ENGINE``).  See ``docs/KERNELS.md``.
 """
@@ -137,19 +137,12 @@ def encode_batch(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
     return (_as_sign_batch(model, x_signs) > 0).astype(np.float32)
 
 
-def _int32_half():
-    """The ``accurate`` engine, whose int32 BNN half scores models too
-    wide for the exact GEMM."""
-    from repro.engine.accurate import AccurateEngine
-
-    return AccurateEngine()
-
-
 def batched_scores(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
     """Integer class scores ``(batch, n_classes)``, bit-identical to the
     scalar path (``np.stack([model.scores(x) for x in x_signs])``)."""
     if not gemm_exact(model):
-        return _int32_half().scores(model, _as_sign_batch(model, x_signs))
+        return np.stack([model.scores(row)
+                         for row in _as_sign_batch(model, x_signs)])
     return gemm_model(model).scores(encode_batch(model, x_signs))
 
 
@@ -166,28 +159,8 @@ def batched_hidden_forward(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
     Used when this model is the front half of a two-core chain.
     """
     if not gemm_exact(model):
-        return _int32_half().hidden_forward(
-            model, _as_sign_batch(model, x_signs))
+        return model.hidden_forward_batch(_as_sign_batch(model, x_signs))
     return gemm_model(model).hidden(encode_batch(model, x_signs))
-
-
-class BatchedBNNHalf:
-    """BNN half of the ``fast`` engine (mixin for ExecutionEngine).
-
-    Pure functions of the model and inputs: no session stats, no probe
-    emissions — the accounting contract lives in the accelerator timing
-    model and is engine-independent.
-    """
-
-    def scores(self, model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-        return batched_scores(model, x_signs)
-
-    def predict(self, model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-        return batched_predict(model, x_signs)
-
-    def hidden_forward(self, model: BNNModel,
-                       x_signs: np.ndarray) -> np.ndarray:
-        return batched_hidden_forward(model, x_signs)
 
 
 def predict_with_engine(model: BNNModel, x_signs: np.ndarray,
@@ -195,7 +168,7 @@ def predict_with_engine(model: BNNModel, x_signs: np.ndarray,
     """Classify a batch with the selected engine.
 
     ``engine=None`` resolves to the session's ``SimConfig.engine``; any
-    registered engine name (or engine object) works.  Every engine
+    engine name (or engine object) works.  Every engine
     returns identical predictions (the equivalence suites pin the logits
     bit-for-bit), so this only changes host-side speed.
     """

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro asm prog.s [-o prog.hex] [--base 0x0]
     python -m repro dis prog.hex [--base 0x0]
-    python -m repro run prog.s [--functional] [--engine NAME]
+    python -m repro run prog.s [--max-cycles N] [--engine NAME]
     python -m repro run --scenario examples/scenarios/dhrystone.json
     python -m repro experiments [PATTERN ...] [--engine NAME] [--profile NAME]
     python -m repro bench [PATTERN ...] [--quick] [--profile NAME]
@@ -44,7 +44,7 @@ def _parse_base(text: str) -> int:
 
 
 def engine_choices() -> tuple:
-    """Registered engine names for ``--engine`` (sorted, registry-fed)."""
+    """The engine names ``--engine`` accepts (sorted)."""
     from repro.engine import engine_names
 
     return engine_names()
@@ -91,8 +91,6 @@ def _load_cli_scenario(args: argparse.Namespace):
     scenario = Scenario.from_file(args.scenario)
     if getattr(args, "engine", None):
         scenario = scenario.with_engine(name=args.engine)
-    if getattr(args, "functional", False):
-        scenario = scenario.with_engine(prefer_functional=True)
     if getattr(args, "device_profile", None):
         scenario = scenario.with_profile(name=args.device_profile)
     return scenario
@@ -102,7 +100,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from repro.engine import resolve_engine
+    from repro.cpu import run_program
     from repro.errors import ConfigurationError
     from repro.sim import SimSession, get_session, set_session
 
@@ -123,7 +121,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         # with the registered-profile list (exit 2)
         session.config = dataclasses.replace(session.config,
                                              profile=args.device_profile)
-    engine = resolve_engine(args.engine)
 
     if args.file is None:
         if scenario is None:
@@ -154,8 +151,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         program = build_program(scenario)
     else:
         program = assemble(_read_text(args.file), base=args.base)
-    prefer_functional = args.functional or (
-        scenario is not None and scenario.engine.prefer_functional)
 
     tracer = None
     if args.trace or args.trace_jsonl or args.profile:
@@ -173,11 +168,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         recorder.__enter__()
 
     try:
-        # the engine owns CPU construction and the step/cycle limit
-        # semantics (fast engines count retired instructions, the
-        # accurate pipeline counts cycles)
-        cpu, result = engine.run_program(program, limit=args.max_cycles,
-                                         prefer_functional=prefer_functional)
+        # traced runs (--trace/--profile) take the per-cycle pipeline;
+        # either way the numbers are the pipeline's
+        cpu, result = run_program(program, max_cycles=args.max_cycles)
     finally:
         if recorder is not None:
             recorder.__exit__(None, None, None)
@@ -372,14 +365,16 @@ def chip_specs() -> dict:
 def cmd_info(args: argparse.Namespace) -> int:
     import json
 
-    from repro.engine import engine_table
+    from repro.engine import engine_names, get_engine
     from repro.power import profile_table
     from repro.sim import get_session
 
+    engines = [get_engine(name) for name in engine_names()]
+
     if args.json:
         # shares the run-manifest serializer so specs and metrics carry
-        # the same identity block, and the registry serializers so the
-        # engine/profile lists cannot drift from what actually dispatches
+        # the same identity block, and the engine/profile tables so the
+        # lists cannot drift from what actually dispatches
         from repro.metrics import RunManifest
 
         document = {
@@ -388,7 +383,9 @@ def cmd_info(args: argparse.Namespace) -> int:
             "specs": chip_specs(),
             "engines": {
                 "active": get_session().config.engine,
-                "registered": engine_table(),
+                "registered": [{"name": engine.name,
+                                "description": engine.description}
+                               for engine in engines],
             },
             "profiles": {
                 "active": get_session().config.profile,
@@ -433,15 +430,10 @@ def cmd_info(args: argparse.Namespace) -> int:
           f"{accelerator.config.neurons_per_layer} neurons "
           f"({accelerator.peak_ops_per_cycle()} MACs/cycle)")
     active = get_session().config.engine
-    print("execution engines (active marked *):")
-    for entry in engine_table():
-        marker = "*" if entry["name"] == active else " "
-        # every capability flag, yes/no, in declaration order — so the
-        # absence of a capability is as visible as its presence
-        flags = ", ".join(f"{flag}={'yes' if value else 'no'}"
-                          for flag, value in entry["capabilities"].items())
-        print(f"  {marker} {entry['name']:<9}: {entry['description']}")
-        print(f"    {'':>9}  [{flags}]")
+    print("BNN engines (active marked *):")
+    for engine in engines:
+        marker = "*" if engine.name == active else " "
+        print(f"  {marker} {engine.name:<9}: {engine.description}")
     active_profile = get_session().config.profile
     print("device profiles (active marked *):")
     for entry in profile_table():
@@ -607,7 +599,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     import json
 
-    from repro.scenario.fuzz import fuzz
+    from repro.scenario.fuzz import CPU_SIMULATORS, default_engines, fuzz
     from repro.scenario.materialize import scenario_signature
 
     def progress(result) -> None:
@@ -622,8 +614,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                for name in token.split(",") if name]
     for name in engines:
         ensure_known(name)
-    results = fuzz(count=args.count, seed=args.seed,
-                   engines=engines or None,
+    engines = engines or list(default_engines())
+    results = fuzz(count=args.count, seed=args.seed, engines=engines,
                    kinds=tuple(args.kind) if args.kind else ("bnn", "cpu"),
                    on_result=progress)
     failures = [result for result in results if not result.ok]
@@ -631,9 +623,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(json.dumps([result.to_dict() for result in results],
                          indent=2, sort_keys=True))
     else:
-        engines = ", ".join(results[0].engines) if results else "-"
-        print(f"fuzz: {len(results)} scenarios x [{engines}] — "
-              f"{len(results) - len(failures)} agreed, "
+        print(f"fuzz: {len(results)} scenarios (bnn x "
+              f"[{', '.join(engines)}], cpu x [{', '.join(CPU_SIMULATORS)}]) "
+              f"— {len(results) - len(failures)} agreed, "
               f"{len(failures)} mismatched (seed {args.seed})")
         for result in failures:
             _, detail = scenario_signature(result.scenario)
@@ -784,8 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="only errors on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # resolved once: every subparser shares the same registry-fed tuples
-    # instead of re-importing the registries per --engine/--profile flag
+    # resolved once: every subparser shares the same name tuples instead
+    # of re-resolving them per --engine/--profile flag
     engines = engine_choices()
     profiles = profile_choices()
 
@@ -810,14 +802,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "workload); explicit flags and the positional "
                           "file override scenario fields")
     run.add_argument("--base", type=_parse_base, default=0)
-    run.add_argument("--functional", action="store_true",
-                     help="use the functional ISS instead of the pipeline")
     run.add_argument("--engine", choices=engines,
-                     help="execution engine: 'accurate' (default) keeps the "
-                          "cycle-accurate pipeline / functional ISS, the "
-                          "others swap in faster host-side backends with "
-                          "identical architectural results; REPRO_ENGINE "
-                          "sets the default")
+                     help="BNN kernel for bnn scenarios: 'accurate' "
+                          "(default, scalar int32) or 'fast' (batched "
+                          "GEMM), identical results; programs always run "
+                          "on the CPU runtime; REPRO_ENGINE sets the "
+                          "default")
     run.add_argument("--device-profile", choices=profiles,
                      metavar="NAME", dest="device_profile",
                      help="device profile pricing the power models "
@@ -845,7 +835,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics-json", metavar="PATH",
                      help="write the same metrics as a stable-ordered "
                           "JSON document")
-    run.add_argument("--max-cycles", type=int, default=10_000_000)
+    run.add_argument("--max-cycles", type=int, default=10_000_000,
+                     help="cycle budget: stop (exit 1) once the pipeline "
+                          "clock reaches N cycles (default 10000000)")
     run.set_defaults(func=cmd_run)
 
     exp = sub.add_parser("experiments",
@@ -878,9 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "seed); --engine and --cache-dir override its "
                           "fields")
     exp.add_argument("--engine", choices=engines,
-                     help="execution engine for the session (the fast "
-                          "engines swap in batched BNN kernels; results "
-                          "are identical)")
+                     help="BNN kernel for the session ('fast' swaps in "
+                          "the batched GEMM; results are identical)")
     exp.add_argument("--profile", "--device-profile", choices=profiles,
                      metavar="NAME", dest="device_profile",
                      help="device profile pricing the power models "
@@ -938,17 +929,20 @@ def build_parser() -> argparse.ArgumentParser:
     scen_show.set_defaults(func=cmd_scenario)
 
     fuzz = sub.add_parser("fuzz",
-                          help="differentially fuzz random scenarios "
-                               "across every registered engine")
+                          help="differentially fuzz random scenarios: BNN "
+                               "scenarios across engines, CPU scenarios "
+                               "on the runtime, the pipeline and the ISS")
     fuzz.add_argument("--count", type=int, default=25,
                       help="number of random scenarios (default 25)")
     fuzz.add_argument("--seed", type=int, default=0,
                       help="fuzzer seed; the same seed replays the same "
                            "scenario sequence (default 0)")
     fuzz.add_argument("--engines", nargs="+", metavar="NAME",
-                      help="engines to compare, space- or comma-separated "
-                           "(default: every registered engine; first is "
-                           "the oracle)")
+                      help="BNN engines to compare on bnn scenarios, "
+                           "space- or comma-separated (default: every "
+                           "engine; first is the oracle); cpu scenarios "
+                           "always compare the runtime, the pipeline "
+                           "and the ISS, cycles included")
     fuzz.add_argument("--kind", nargs="+", choices=("bnn", "cpu"),
                       help="restrict generated workload kinds")
     fuzz.add_argument("--json", action="store_true",
@@ -965,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "scenario); serve flags below override its "
                             "fields")
     serve.add_argument("--engine", choices=engines,
-                       help="execution engine batches dispatch to "
+                       help="BNN kernel batches dispatch to "
                             "(default: the scenario's engine)")
     serve.add_argument("--requests", type=int,
                        help="number of requests to drive")
@@ -1040,8 +1034,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scenario JSON naming the workload to attribute")
     att.add_argument("--engine", action="append", choices=engines,
                      metavar="NAME",
-                     help="engine to attribute; repeat for an A/B "
-                          "comparison across engines (default: the "
+                     help="BNN kernel to attribute with; repeat for an "
+                          "A/B comparison across engines (default: the "
                           "scenario's engine)")
     att.add_argument("--profile", "--device-profile", choices=profiles,
                      metavar="NAME", dest="device_profile",

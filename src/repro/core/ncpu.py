@@ -4,7 +4,7 @@ One :class:`NCPUCore` owns the banked SRAM (:class:`repro.mem.NCPUMemory`),
 a core environment (transition neurons, L2 hooks), a local cycle clock, and
 a :class:`~repro.core.events.Timeline`.  It can:
 
-* run RV32I programs on the cycle-accurate 5-stage pipeline against the
+* run RV32I programs with the 5-stage pipeline's timing against the
   reused SRAM banks (CPU mode),
 * flip into BNN mode when a program executes ``trans_bnn`` (or explicitly),
   classify the bit-packed inputs sitting in the image memory, and write the
@@ -34,7 +34,7 @@ from repro.core.transition import (
     TN_LAYERS,
     TransitionPolicy,
 )
-from repro.cpu import CoreEnv, PipelinedCPU, RunResult
+from repro.cpu import CoreEnv, RunResult, run_program
 from repro.cpu.memory import DataMemory
 from repro.errors import ConfigurationError, SimulationError
 from repro.isa import Program
@@ -115,7 +115,7 @@ class NCPUCore:
     def run_cpu_program(self, program: Program,
                         max_cycles: int = 50_000_000,
                         label: str = "") -> RunResult:
-        """Execute a program on the pipeline against the banked data cache.
+        """Execute a program on the CPU runtime against the banked data cache.
 
         If the program executes ``trans_bnn``, the core switches to BNN mode
         (charging the transition cost) and the result's ``stop_reason``
@@ -123,13 +123,11 @@ class NCPUCore:
         """
         if self.mode is not CoreMode.CPU:
             raise SimulationError(f"{self.name} is in BNN mode; switch first")
-        # CPU mode always runs the cycle-accurate pipeline: the core's
-        # clock and timeline are the timing oracle the experiments (and
-        # the fast-path calibration) are pinned against, so the engine
-        # seam only swaps the BNN inference math, never CPU-mode timing.
-        cpu = PipelinedCPU(program, memory=self.memory.data_memory(),
-                           env=self.env)
-        result = cpu.run(max_cycles=max_cycles)
+        # the runtime reports the pipeline's exact cycles, so the core's
+        # clock and timeline do not depend on the engine, which only
+        # picks the BNN kernel
+        cpu, result = run_program(program, memory=self.memory.data_memory(),
+                                  env=self.env, max_cycles=max_cycles)
         self.registers = cpu.regs  # architectural state of the last run
         self._advance(result.stats.cycles, events.CPU, label or "program")
         if result.stop_reason == "trans_bnn":

@@ -24,7 +24,7 @@ from repro.bnn.model import BNNModel
 from repro.core import events
 from repro.core.ncpu import NCPUCore
 from repro.core.transition import TransitionPolicy
-from repro.cpu import CoreEnv, PipelinedCPU, RunResult
+from repro.cpu import CoreEnv, RunResult, run_program
 from repro.cpu.memory import FlatMemory
 from repro.errors import ConfigurationError, SimulationError
 from repro.isa import Program
@@ -211,8 +211,8 @@ class HeterogeneousSoC:
     def run_cpu_program(self, program: Program,
                         max_cycles: int = 50_000_000,
                         label: str = "") -> RunResult:
-        cpu = PipelinedCPU(program, memory=self.cpu_memory, env=self.env)
-        result = cpu.run(max_cycles=max_cycles)
+        _, result = run_program(program, memory=self.cpu_memory, env=self.env,
+                                max_cycles=max_cycles)
         self.timeline.add("cpu", events.CPU, self.cpu_clock,
                           self.cpu_clock + result.stats.cycles,
                           label or "program")

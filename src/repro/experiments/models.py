@@ -24,7 +24,7 @@ from repro.bnn import (
     synthetic_motion,
 )
 from repro.core import Item
-from repro.cpu import FlatMemory, run_pipelined
+from repro.cpu import FlatMemory, run_program
 from repro.isa import assemble
 from repro.sim import config_hash, get_session, source_fingerprint
 from repro.workloads import image_pipeline as ip
@@ -142,7 +142,7 @@ class UseCase:
 @lru_cache(maxsize=None)
 def image_use_case() -> UseCase:
     """Image classification: measured cycles of the real assembly pipeline
-    on the 5-stage simulator plus the accelerator's per-image cycles."""
+    on the CPU runtime (pipeline timing) plus the accelerator's per-image cycles."""
     trained = mnist_model()
     shape = ip.ImageShape(32, 32)
     rng = np.random.default_rng(11)
@@ -152,7 +152,7 @@ def image_use_case() -> UseCase:
     memory = FlatMemory(size=1 << 17)
     ip.write_raw_frame(memory, raw)
     for name, generator in ip.STAGE_GENERATORS.items():
-        _, result = run_pipelined(assemble(generator(shape)), memory=memory)
+        _, result = run_program(assemble(generator(shape)), memory=memory)
         stage_cycles[name] = result.stats.cycles
     cpu_cycles = sum(stage_cycles.values())
 
@@ -177,7 +177,7 @@ def motion_use_case() -> UseCase:
     mf.write_thresholds(memory, artifacts.thresholds)
     for name, generator in mf.STAGE_GENERATORS.items():
         source = generator() if name == "binarize" else generator(64)
-        _, result = run_pipelined(assemble(source), memory=memory)
+        _, result = run_program(assemble(source), memory=memory)
         stage_cycles[name] = result.stats.cycles
     cpu_cycles = sum(stage_cycles.values())
 

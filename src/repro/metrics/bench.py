@@ -1,6 +1,6 @@
 """Registered micro-benchmarks + the BENCH trajectory file writer.
 
-Each benchmark measures one simulator hot path (pipeline cycles/sec on
+Each benchmark measures one simulator hot path (CPU runtime cycles/sec on
 Dhrystone and the hotspot kernel, BNN inferences/sec, DMA words/sec,
 experiment-runner wall time with a warm vs cold :class:`ArtifactCache`)
 with warmup + N repeats and reports median/min/IQR wall time plus a
@@ -147,62 +147,50 @@ def _register_cpu_bench(name: str, scenario: Scenario, *,
                         unit: str, help: str) -> None:
     """Register one CPU-kernel bench declared by a :class:`Scenario`.
 
-    The CPU benches are parametrized over the engine registry through
-    the scenario's engine spec: each one assembles the scenario's kernel
-    (:func:`repro.scenario.materialize.build_program`) and runs it
-    through ``run_program``, so a new backend gets benchmarked by
-    registering one more scenario here.
+    Each one assembles the scenario's kernel
+    (:func:`repro.scenario.materialize.build_program`) and runs it on the
+    :func:`repro.cpu.run_program` runtime, superblock compilation
+    included; the engine does not enter CPU runs.
     """
 
     @bench(name, work_key=work_key, unit=unit, help=help,
            scenario=scenario)
     def _bench(quick: bool) -> Dict[str, float]:
-        from repro.engine import get_engine
+        from repro.cpu import run_program
         from repro.scenario.materialize import build_program
 
         sized = _sized_workload(scenario, quick, quick_iterations)
-        _, result = get_engine(scenario.engine.name).run_program(
-            build_program(sized),
-            prefer_functional=scenario.engine.prefer_functional)
+        _, result = run_program(build_program(sized))
         return {"cycles": result.stats.cycles,
                 "instructions": result.stats.instructions}
 
 
-def _cpu_scenario(name: str, program: str, iterations: int, engine: str,
-                  prefer_functional: bool = False) -> Scenario:
+def _cpu_scenario(name: str, program: str, iterations: int) -> Scenario:
     return Scenario(
         name=name,
         workload=WorkloadSpec(kind="cpu", name=program, layer_sizes=(),
                               iterations=iterations),
-        engine=EngineSpec(name=engine,
-                          prefer_functional=prefer_functional),
         batch_size=1)
 
 
 _register_cpu_bench(
     "cpu.pipeline.dhrystone",
-    _cpu_scenario("cpu.pipeline.dhrystone", "dhrystone", 40, "accurate"),
+    _cpu_scenario("cpu.pipeline.dhrystone", "dhrystone", 40),
     quick_iterations=5, work_key="cycles", unit="cycles/s",
-    help="pipelined-CPU simulation speed on the Dhrystone kernel")
-_register_cpu_bench(
-    "cpu.functional.dhrystone",
-    _cpu_scenario("cpu.functional.dhrystone", "dhrystone", 40, "accurate",
-                  prefer_functional=True),
-    quick_iterations=5, work_key="instructions", unit="instr/s",
-    help="functional-ISS simulation speed on the Dhrystone kernel "
-         "(scalar baseline for the fast-path engine)")
+    help="CPU runtime speed on the Dhrystone kernel, in simulated "
+         "pipeline cycles")
 _register_cpu_bench(
     "cpu.fastpath.dhrystone",
-    _cpu_scenario("cpu.fastpath.dhrystone", "dhrystone", 40, "fast"),
+    _cpu_scenario("cpu.fastpath.dhrystone", "dhrystone", 40),
     quick_iterations=5, work_key="instructions", unit="instr/s",
-    help="fast-path (basic-block) interpreter speed on the Dhrystone "
-         "kernel, block compilation included (--engine fast)")
+    help="CPU runtime speed on the Dhrystone kernel, in retired "
+         "instructions")
 _register_cpu_bench(
     "cpu.pipeline.hotspot",
-    _cpu_scenario("cpu.pipeline.hotspot", "hotspot", 50, "accurate"),
+    _cpu_scenario("cpu.pipeline.hotspot", "hotspot", 50),
     quick_iterations=5, work_key="cycles", unit="cycles/s",
-    help="pipelined-CPU simulation speed on the hazard-heavy hotspot "
-         "kernel (examples/hotspot.s)")
+    help="CPU runtime speed on the hazard-heavy hotspot kernel "
+         "(examples/hotspot.s), in simulated pipeline cycles")
 
 
 #: the paper-shaped classifier every BNN bench infers (4 layers, 100
@@ -505,26 +493,29 @@ def anchor_experiment_metrics(quick: bool = False,
     machine — so the regression gate can hold them to tight tolerances.
     ``profile`` prices the anchors under a non-default device profile;
     ``benchmarks/baseline.json`` expectations only hold for the default.
+    The anchors run in a copy of the caller's session with a temporary
+    artifact cache, so they never read or write ``~/.cache/repro``.
     """
-    import contextlib
-
     from repro.experiments.runner import run_experiment
-    from repro.sim import SimConfig, SimSession, use_session
+    from repro.sim import SimSession, get_session, use_session
 
     names = list(ANCHOR_EXPERIMENTS)
     if not quick:
         names += list(FULL_ANCHOR_EXPERIMENTS)
     metrics: Dict[str, float] = {}
-    if profile is not None:
-        scope = use_session(SimSession(
-            SimConfig(cache_enabled=False, profile=profile)))
-    else:  # keep the caller's session (and its warm artifact cache)
-        scope = contextlib.nullcontext()
-    with scope:
-        for name in names:
-            result = run_experiment(name, use_cache=True)
-            for metric in result.metrics:
-                metrics[f"{name}:{metric.name}"] = float(metric.measured)
+    config = get_session().config
+    cache_dir = tempfile.mkdtemp(prefix="repro-bench-anchors-")
+    try:
+        with use_session(SimSession(dataclasses.replace(
+                config, cache_dir=cache_dir, cache_enabled=True,
+                profile=profile or config.profile))):
+            for name in names:
+                result = run_experiment(name, use_cache=True)
+                for metric in result.metrics:
+                    metrics[f"{name}:{metric.name}"] = float(
+                        metric.measured)
+    finally:
+        shutil.rmtree(cache_dir, ignore_errors=True)
     return metrics
 
 

@@ -180,17 +180,6 @@ class RunAttribution:
 
 
 # -- runners --------------------------------------------------------------
-def _resolve_attributing_engine(engine, scenario):
-    from repro.engine import resolve_engine
-
-    resolved = resolve_engine(engine or scenario.engine.name)
-    if not getattr(resolved.capabilities, "phase_attribution", False):
-        raise ObservabilityError(
-            f"engine {resolved.name!r} does not declare the "
-            "phase_attribution capability")
-    return resolved
-
-
 def _publish(session, attribution: RunAttribution) -> RunAttribution:
     """Invariant-check, then surface the attribution on the session."""
     attribution.check()
@@ -213,12 +202,14 @@ def attribute_scenario(scenario, engine=None) -> RunAttribution:
     """Run ``scenario`` once and attribute it into the six phases.
 
     ``engine`` overrides the scenario's engine spec (name or engine
-    object).  CPU scenarios run their kernel through the engine's
-    ``run_program``; BNN scenarios classify the seeded batch through the
+    object).  CPU scenarios run their kernel on the
+    :func:`repro.cpu.run_program` runtime; BNN scenarios classify the seeded batch through the
     accelerator's engine-dispatched path — identical work to
     :func:`repro.scenario.materialize.run_scenario`, with every harness
     region wall-timed and the timing model's cycles split exactly.
     """
+    from repro.cpu import run_program
+    from repro.engine import resolve_engine
     from repro.scenario.materialize import (
         build_inputs,
         build_model,
@@ -231,14 +222,12 @@ def attribute_scenario(scenario, engine=None) -> RunAttribution:
     detail: Dict[str, Any] = {}
     with recorder.run():
         with recorder.measure(INIT):
-            resolved = _resolve_attributing_engine(engine, scenario)
+            resolved = resolve_engine(engine or scenario.engine.name)
         if scenario.workload.kind == "cpu":
             with recorder.measure(PREPROCESS):
                 program = build_program(scenario)
             with recorder.measure(INFERENCE):
-                _, result = resolved.run_program(
-                    program,
-                    prefer_functional=scenario.engine.prefer_functional)
+                _, result = run_program(program)
             with recorder.measure(POSTPROCESS):
                 cycles = cpu_phase_cycles(result.stats)
                 total_cycles = int(result.stats.cycles)
@@ -284,6 +273,7 @@ def attribute_chained(scenario, engine=None,
     two layers.
     """
     from repro.core.soc import NCPUSoC
+    from repro.engine import resolve_engine
     from repro.scenario.materialize import build_inputs, build_model
     from repro.sim import get_session
 
@@ -296,7 +286,7 @@ def attribute_chained(scenario, engine=None,
     recorder = PhaseRecorder()
     with recorder.run():
         with recorder.measure(INIT):
-            resolved = _resolve_attributing_engine(engine, scenario)
+            resolved = resolve_engine(engine or scenario.engine.name)
             model = build_model(scenario)
             if model.n_layers < 2:
                 raise ObservabilityError(

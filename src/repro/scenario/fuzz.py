@@ -1,26 +1,24 @@
-"""Differential scenario fuzzing: random scenarios, every engine agrees.
+"""Differential scenario fuzzing: random scenarios, every path agrees.
 
-The engine registry's admission contract is *bit-identical architectural
-results*.  The hand-written differential suites pin that on a few fixed
-workloads; this module turns the contract into a property-based harness:
-a seeded :class:`ScenarioFuzzer` draws bounded random scenarios (shapes,
-batch sizes, seeds, operating points — engines come from the live
-registry), and :func:`run_differential` executes each one on every
-engine and compares the outputs bit for bit:
+The hand-written differential suites pin bit-identical results on a few
+fixed workloads; this module turns that contract into a property-based
+harness: a seeded :class:`ScenarioFuzzer` draws bounded random scenarios
+(shapes, batch sizes, seeds, operating points), and
+:func:`run_differential` executes each one on every path that must agree
+and compares the outputs bit for bit:
 
-* **BNN scenarios** — class scores, argmax predictions and per-layer
-  hidden sign activations must be array-equal across engines, and the
-  accelerator's cycle/MAC accounting (which is engine-independent by
-  protocol) must be exactly equal.
-* **CPU scenarios** — stop reason, final PC, all 32 architectural
-  registers, retired-instruction counts, memory traffic and the
-  per-mnemonic histogram must match.  Cycle counts are deliberately
-  *not* compared: engines without ``timing_accurate`` report functional
-  single-cycle timing (the pipeline stays the timing oracle).
+* **BNN scenarios** run on each engine (the BNN kernels).  Class scores,
+  argmax predictions and per-layer hidden sign activations must be
+  array-equal, and the accelerator's cycle/MAC accounting (which no
+  engine touches) must be exactly equal.
+* **CPU scenarios** run on the runtime (:func:`repro.cpu.run_program`)
+  and on both oracles, the cycle-accurate pipeline and the functional
+  ISS.  Stop reason, final PC, all 32 registers, retired-instruction
+  counts, memory traffic and the per-mnemonic histogram must match all
+  three; cycles, stalls, flushes, stage occupancy and event cycles must
+  match between the runtime and the pipeline.
 
-``repro fuzz --count N --seed S`` drives this from the CLI; a fresh
-engine becomes trustworthy by surviving a fuzz run, not by hand-writing
-a fourth differential suite.
+``repro fuzz --count N --seed S`` drives this from the CLI.
 """
 
 from __future__ import annotations
@@ -38,13 +36,15 @@ from repro.scenario.schema import (
     WorkloadSpec,
 )
 
-#: engines every fuzz run compares by default (the registry's full set
-#: at the time of writing; ``--engines`` / the ``engines`` argument can
-#: restrict or extend it as backends come and go)
 def default_engines() -> Tuple[str, ...]:
+    """The engines BNN scenarios are compared across by default: all."""
     from repro.engine import engine_names
 
     return engine_names()
+
+
+#: what every CPU scenario runs on; the first is the reference
+CPU_SIMULATORS = ("pipeline", "runtime", "iss")
 
 
 #: fuzzer draw bounds — small enough that a 25-scenario run stays in
@@ -67,6 +67,8 @@ class ScenarioFuzzer:
     The same ``seed`` always yields the same scenario sequence
     (``random.Random`` is stable across platforms and Python builds),
     so a failing fuzz run is reproducible from its seed + index alone.
+    ``engines`` are the BNN engines scenarios draw from and are compared
+    across.
     """
 
     def __init__(self, seed: int = 0,
@@ -114,7 +116,7 @@ class ScenarioFuzzer:
 
 @dataclasses.dataclass
 class Mismatch:
-    """One field two engines disagreed on."""
+    """One field two engines (or simulators) disagreed on."""
 
     field: str
     engine: str
@@ -128,10 +130,11 @@ class Mismatch:
 
 @dataclasses.dataclass
 class DifferentialResult:
-    """Outcome of running one scenario across every compared engine."""
+    """Outcome of running one scenario on every compared path: the
+    engines of a BNN scenario, :data:`CPU_SIMULATORS` for a CPU one."""
 
     scenario: Scenario
-    engines: Tuple[str, ...]
+    compared: Tuple[str, ...]
     mismatches: List[Mismatch] = dataclasses.field(default_factory=list)
 
     @property
@@ -141,7 +144,7 @@ class DifferentialResult:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "scenario": self.scenario.to_dict(),
-            "engines": list(self.engines),
+            "compared": list(self.compared),
             "ok": self.ok,
             "mismatches": [str(m) for m in self.mismatches],
         }
@@ -192,22 +195,32 @@ def _bnn_observation(scenario: Scenario, engine_name: str) -> Dict[str, Any]:
     }
 
 
-def _cpu_observation(scenario: Scenario, engine_name: str) -> Dict[str, Any]:
-    from repro.engine import get_engine
+def _cpu_observations(scenario: Scenario) -> Dict[str, Dict[str, Any]]:
+    from repro.cpu import run_oracles, run_program
     from repro.scenario.materialize import build_program
 
-    cpu, result = get_engine(engine_name).run_program(
-        build_program(scenario),
-        prefer_functional=scenario.engine.prefer_functional)
-    return {
-        "stop_reason": result.stop_reason,
-        "pc": result.pc,
-        "registers": [cpu.regs.read(index) for index in range(32)],
-        "instructions": result.stats.instructions,
-        "mem_reads": result.stats.mem_reads,
-        "mem_writes": result.stats.mem_writes,
-        "instr_counts": dict(result.stats.instr_counts),
-    }
+    program = build_program(scenario)
+    runs = {"runtime": run_program(program), **run_oracles(program)}
+    observations = {}
+    for name, (cpu, result) in runs.items():
+        stats = result.stats
+        observed = {
+            "stop_reason": result.stop_reason,
+            "pc": result.pc,
+            "registers": [cpu.regs.read(index) for index in range(32)],
+            "instructions": stats.instructions,
+            "mem_reads": stats.mem_reads,
+            "mem_writes": stats.mem_writes,
+            "instr_counts": dict(stats.instr_counts),
+        }
+        if name != "iss":  # the ISS has no pipeline timing
+            observed.update(
+                cycles=stats.cycles, stalls=stats.stalls,
+                flushes=stats.flushes, stage_busy=dict(stats.stage_busy),
+                events=[(e.name, e.cycle, e.pc, e.imm)
+                        for e in cpu.env.events])
+        observations[name] = observed
+    return observations
 
 
 #: observation fields compared exactly as arrays (everything else is
@@ -218,20 +231,24 @@ _ARRAY_FIELDS = ("scores", "predictions", "hidden", "registers")
 def run_differential(scenario: Scenario,
                      engines: Optional[Sequence[str]] = None
                      ) -> DifferentialResult:
-    """Run ``scenario`` on every engine; the first engine is the oracle."""
-    names = tuple(engines) if engines else default_engines()
-    observe = (_cpu_observation if scenario.workload.kind == "cpu"
-               else _bnn_observation)
-    result = DifferentialResult(scenario=scenario, engines=names)
-    reference_engine = names[0]
-    reference = observe(scenario, reference_engine)
-    for engine_name in names[1:]:
-        observed = observe(scenario, engine_name)
-        for field, expected in reference.items():
+    """Run ``scenario`` on every compared path; the first is the
+    reference.  ``engines`` (BNN scenarios only) defaults to all."""
+    if scenario.workload.kind == "cpu":
+        names = CPU_SIMULATORS
+        observations = _cpu_observations(scenario)
+    else:
+        names = tuple(engines) if engines else default_engines()
+        observations = {name: _bnn_observation(scenario, name)
+                        for name in names}
+    result = DifferentialResult(scenario=scenario, compared=names)
+    reference_name = names[0]
+    reference = observations[reference_name]
+    for name in names[1:]:
+        for field, value in observations[name].items():
             compare = (_compare_arrays if field in _ARRAY_FIELDS
                        else _compare_scalar)
-            compare(field, expected, observed[field], engine_name,
-                    reference_engine, result.mismatches)
+            compare(field, reference[field], value, name, reference_name,
+                    result.mismatches)
     return result
 
 

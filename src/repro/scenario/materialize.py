@@ -3,7 +3,8 @@
 The schema deliberately stays declarative — pure data, importable
 everywhere.  This module is the one place that knows how to *realize* a
 scenario: assemble its CPU kernel, build its (seeded) random BNN model
-and input batch, and execute the whole thing on the engine it names.
+and input batch, and execute the whole thing (CPU kernels on the
+:mod:`repro.cpu` runtime, BNN batches on the engine it names).
 The CLI (``repro run --scenario``), the benchmark registry and the
 differential fuzzer all share these builders, so a scenario means the
 same concrete workload everywhere it is consumed.
@@ -81,16 +82,17 @@ def run_scenario(scenario: Scenario,
     """Execute one scenario end-to-end; returns a JSON-ready summary.
 
     ``engine`` overrides the scenario's engine spec (the CLI threads
-    ``--engine`` through here).  CPU scenarios run their kernel through
-    the engine's ``run_program``; BNN scenarios classify the input batch
-    through the accelerator's engine-dispatched batch path, so cycle/MAC
-    accounting comes from the engine-independent timing model.
+    ``--engine`` through here).  CPU scenarios run their kernel on the
+    :func:`repro.cpu.run_program` runtime; BNN scenarios classify the
+    input batch with the engine's kernel through the accelerator, so
+    cycle/MAC accounting comes from the engine-independent timing model.
 
     ``attribute=True`` additionally splits the run's simulated cycles
     into the six ``repro.obs`` phases (``summary["phase_cycles"]``,
     exact sum-to-total) — derived from the stats/timing the run already
     produced, so the workload is not executed twice.
     """
+    from repro.cpu import run_program
     from repro.engine import resolve_engine
 
     resolved = resolve_engine(engine or scenario.engine.name)
@@ -99,9 +101,7 @@ def run_scenario(scenario: Scenario,
         "engine": resolved.name,
     }
     if scenario.workload.kind == "cpu":
-        _, result = resolved.run_program(
-            build_program(scenario),
-            prefer_functional=scenario.engine.prefer_functional)
+        _, result = run_program(build_program(scenario))
         summary["kind"] = "cpu"
         summary["stop_reason"] = result.stop_reason
         summary["cycles"] = result.stats.cycles

@@ -15,9 +15,8 @@ offending field path (``scenario.workload.layer_sizes[1]: ...``), both
 when constructing the dataclasses directly and when loading from a dict
 or a JSON file.  :meth:`Scenario.identity_dict` is the canonical form
 folded into :func:`repro.sim.config.config_hash`; it deliberately
-excludes the engine spec, because every registered engine produces
-identical architectural results (PR-6 semantics) and cached artifacts
-must be reusable across engines.
+excludes the engine spec, because both BNN engines produce identical
+results and cached artifacts must be reusable across engines.
 """
 
 from __future__ import annotations
@@ -168,15 +167,13 @@ class WorkloadSpec:
 
 @dataclasses.dataclass(frozen=True)
 class EngineSpec:
-    """Which execution backend runs the scenario.
+    """Which BNN kernel runs the scenario's inference.
 
-    ``name`` must be registered in :mod:`repro.engine`;
-    ``prefer_functional`` selects the functional ISS over the pipeline
-    for engines that distinguish the two (the ``accurate`` engine).
+    ``name`` must be one of :func:`repro.engine.engine_names`.  CPU
+    kernels always run on the :mod:`repro.cpu` runtime.
     """
 
     name: str = "accurate"
-    prefer_functional: bool = False
 
     def __post_init__(self):
         self.validate("engine")
@@ -185,11 +182,8 @@ class EngineSpec:
         _require(isinstance(self.name, str) and bool(self.name),
                  f"{path}.name", f"expected a non-empty engine name, "
                  f"got {self.name!r}")
-        _require(isinstance(self.prefer_functional, bool),
-                 f"{path}.prefer_functional",
-                 f"expected a boolean, got {self.prefer_functional!r}")
-        # imported lazily: the registry loads provider modules that
-        # import repro.sim, which must not happen at schema import time
+        # imported lazily: repro.engine imports the BNN kernels, which
+        # must not happen at schema import time
         from repro.engine import ensure_known
 
         try:
@@ -198,17 +192,14 @@ class EngineSpec:
             raise ConfigurationError(f"{path}.name: {exc}") from None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name,
-                "prefer_functional": self.prefer_functional}
+        return {"name": self.name}
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "engine") -> "EngineSpec":
         data = _as_mapping(data, path)
         _reject_unknown(cls, data, path)
         return _construct(
-            lambda: cls(name=data.get("name", cls.name),
-                        prefer_functional=data.get("prefer_functional",
-                                                   cls.prefer_functional)),
+            lambda: cls(name=data.get("name", cls.name)),
             path, "engine")
 
 
@@ -240,7 +231,7 @@ class DevicePoint:
         _require(isinstance(self.profile, str) and bool(self.profile),
                  f"{path}.profile",
                  f"expected a non-empty profile name, got {self.profile!r}")
-        # imported lazily, mirroring the engine registry check above
+        # imported lazily, mirroring the engine check above
         from repro.power.profiles import get_profile
 
         try:
@@ -419,8 +410,8 @@ class Scenario:
         """The canonical dict *minus the engine and serve specs*.
 
         This is what :attr:`repro.sim.config.SimConfig.hash` folds in:
-        every registered engine produces bit-identical architectural
-        results, so cached artifacts stay valid across engine swaps —
+        both BNN engines produce bit-identical results, so cached
+        artifacts stay valid across engine swaps —
         and the serve block only shapes *when* work arrives, never what
         it computes, so serving-policy sweeps reuse the same artifacts.
 
@@ -494,15 +485,9 @@ class Scenario:
         return cls.from_dict(data, path="scenario")
 
     # -- derived views ----------------------------------------------------
-    def with_engine(self, name: Optional[str] = None,
-                    prefer_functional: Optional[bool] = None) -> "Scenario":
-        """A copy with engine fields replaced (CLI flags override files)."""
-        engine = dataclasses.replace(
-            self.engine,
-            name=self.engine.name if name is None else name,
-            prefer_functional=self.engine.prefer_functional
-            if prefer_functional is None else prefer_functional)
-        return dataclasses.replace(self, engine=engine)
+    def with_engine(self, name: str) -> "Scenario":
+        """A copy on another engine (CLI flags override files)."""
+        return dataclasses.replace(self, engine=EngineSpec(name=name))
 
     def with_profile(self, name: Optional[str] = None,
                      vdd: Optional[float] = None) -> "Scenario":

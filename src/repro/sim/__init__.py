@@ -1,7 +1,7 @@
 """Unified simulation session layer.
 
-Every simulator stack in the reproduction — the cycle-accurate pipeline
-(:mod:`repro.cpu.pipeline`), the BNN accelerator (:mod:`repro.bnn.accelerator`)
+Every simulator stack in the reproduction — the CPU simulators
+(:mod:`repro.cpu`), the BNN accelerator (:mod:`repro.bnn.accelerator`)
 and the SoC discrete-event timeline (:mod:`repro.core.events`) — reports into
 one shared :class:`StatsRegistry`, and every expensive artifact (trained BNN
 models, completed experiment results) is memoized through one on-disk

@@ -34,8 +34,8 @@ PROFILE_ENV_VAR = "REPRO_PROFILE"
 #: default artifact-cache root (expanded lazily)
 DEFAULT_CACHE_DIR = "~/.cache/repro"
 
-#: execution engine selected when no ``--engine``/``REPRO_ENGINE`` is given;
-#: the full set of valid names lives in the :mod:`repro.engine` registry
+#: BNN engine selected when no ``--engine``/``REPRO_ENGINE`` is given;
+#: the valid names are :func:`repro.engine.engine_names`
 DEFAULT_ENGINE = "accurate"
 
 #: device profile selected when no ``--device-profile``/``REPRO_PROFILE``
@@ -92,11 +92,11 @@ class SimConfig:
     ``seed``, ``params`` and ``scenario`` identify the simulated
     configuration and feed the deterministic :attr:`hash`;
     ``cache_dir``/``cache_enabled`` only say where artifacts are stored
-    and are deliberately excluded from it.  ``engine`` names a backend
-    registered in :mod:`repro.engine` (``accurate``, ``fast``); every
-    engine produces identical architectural results (the equivalence
-    suites pin this), so the engine — and the scenario's engine spec —
-    are excluded from the hash too.  ``profile`` names a device profile
+    and are deliberately excluded from it.  ``engine`` names the BNN
+    kernel of :mod:`repro.engine` (``accurate``, ``fast``); both
+    produce identical results (the equivalence suites pin this), so the
+    engine — and the scenario's engine spec — are excluded from the hash
+    too.  ``profile`` names a device profile
     registered in :mod:`repro.power.profiles`; it
     is what :func:`repro.power.resolve_profile` falls back to when a
     power-layer call names no profile.  Unlike the engine it *does*
@@ -131,8 +131,8 @@ class SimConfig:
         """Build a config from ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` /
         ``REPRO_ENGINE``.
 
-        The engine name is validated here, against the live registry,
-        before anything else is constructed — so ``repro run``/``bench``
+        The engine name is validated here, before anything else is
+        constructed — so ``repro run``/``bench``
         with a bad ``REPRO_ENGINE`` fail fast with the registered-engine
         list instead of deep inside program assembly.
         """

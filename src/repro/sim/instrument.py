@@ -2,7 +2,8 @@
 
 All three simulator stacks emit into one :class:`StatsRegistry`:
 
-* the pipeline publishes its :class:`~repro.cpu.env.ExecStats` deltas under
+* the pipeline-timed CPU simulators (the runtime and the cycle-accurate
+  pipeline) publish their :class:`~repro.cpu.env.ExecStats` deltas under
   ``cpu.pipeline.*`` (the functional ISS under ``cpu.functional.*``),
 * the BNN accelerator publishes batch/inference/cycle/MAC counts under
   ``bnn.*``,

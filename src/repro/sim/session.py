@@ -88,13 +88,11 @@ def reset_session() -> None:
 
 
 def current_engine(override: Optional[str] = None) -> str:
-    """Resolve the active execution engine's name.
+    """Resolve the active engine's name.
 
     ``override`` wins when given; otherwise the current session's
-    ``SimConfig.engine`` applies.  Resolution goes through the
-    :mod:`repro.engine` registry, so a
-    :class:`~repro.errors.ConfigurationError` naming the registered
-    engines is raised on unknown names.
+    ``SimConfig.engine`` applies.  An unknown name raises a
+    :class:`~repro.errors.ConfigurationError` naming the engines.
     """
     from repro.engine import resolve_engine
 

@@ -12,9 +12,10 @@ Layered on the session :class:`~repro.sim.StatsRegistry` probe channel:
 
 Quick start::
 
+    from repro.cpu import run_program
     from repro.trace import tracing, write_chrome_trace, build_report
     with tracing() as tracer:
-        PipelinedCPU(program).run()
+        run_program(program)   # traced: the per-cycle pipeline runs
     write_chrome_trace(tracer, "trace.json")   # load in ui.perfetto.dev
     print(render_report(build_report(tracer)))
 """

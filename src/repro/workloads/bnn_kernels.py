@@ -313,8 +313,9 @@ def _argmax_asm(n_classes: int, scores_base: int) -> str:
 
 def run_software_bnn(model: BNNModel, x_sign: np.ndarray,
                      implementation: str = "naive"):
-    """Run one software inference on the pipeline; returns (prediction, stats)."""
-    from repro.cpu import FlatMemory, run_pipelined
+    """Run one software inference on the CPU runtime; returns
+    (prediction, stats)."""
+    from repro.cpu import FlatMemory, run_program
     from repro.isa import assemble
 
     memory = FlatMemory(size=1 << 18)
@@ -330,7 +331,7 @@ def run_software_bnn(model: BNNModel, x_sign: np.ndarray,
     else:
         raise ValueError(f"unknown implementation {implementation!r}")
     program = assemble(source)
-    _, result = run_pipelined(program, memory=memory)
+    _, result = run_program(program, memory=memory)
     if result.stop_reason != "halt":
         raise RuntimeError(f"software BNN did not halt: {result.stop_reason}")
     prediction = memory.load(RESULT_ADDR, 4)

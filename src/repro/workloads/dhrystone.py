@@ -201,15 +201,15 @@ def reference_checksum(iterations: int = 50) -> int:
 
 
 def measure_cycles_per_iteration(iterations: int = 50) -> float:
-    """Run the benchmark on the cycle-accurate pipeline."""
-    from repro.cpu import run_pipelined
+    """Run the benchmark on the CPU runtime (pipeline timing)."""
+    from repro.cpu import run_program
     from repro.isa import assemble
 
     program = assemble(dhrystone_asm(iterations))
-    _, result = run_pipelined(program)
+    _, result = run_program(program)
     if result.stop_reason != "halt":
         raise RuntimeError(f"benchmark did not halt: {result.stop_reason}")
     # subtract the fixed setup portion by measuring two lengths
     program2 = assemble(dhrystone_asm(iterations * 2))
-    _, result2 = run_pipelined(program2)
+    _, result2 = run_program(program2)
     return (result2.stats.cycles - result.stats.cycles) / iterations

@@ -2,7 +2,7 @@
 programs from the MiBench benchmark suite").
 
 Each kernel is a self-contained RV32I program with a numpy/python golden
-model; ``run_kernel`` executes it on the cycle-accurate pipeline and checks
+model; ``run_kernel`` executes it on the CPU runtime and checks
 the result, returning the run statistics (used by the Fig 11a power-overhead
 experiment, which needs each program's retired-instruction mix).
 """
@@ -14,7 +14,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.cpu import FlatMemory, run_pipelined
+from repro.cpu import FlatMemory, run_program
 from repro.cpu.env import ExecStats
 from repro.isa import assemble
 from repro.workloads import layout
@@ -540,7 +540,7 @@ def _write_bytes(memory, base: int, data: bytes) -> None:
 
 
 def run_kernel(name: str, seed: int = 0) -> KernelResult:
-    """Run one named kernel on the pipeline and verify its output."""
+    """Run one named kernel on the CPU runtime and verify its output."""
     rng = np.random.default_rng(seed)
     memory = FlatMemory(size=1 << 17)
 
@@ -548,13 +548,13 @@ def run_kernel(name: str, seed: int = 0) -> KernelResult:
         data = bytes(rng.integers(0, 256, size=64, dtype=np.uint8))
         _write_bytes(memory, DATA, data)
         program = assemble(crc32_asm(len(data)))
-        _, result = run_pipelined(program, memory=memory)
+        _, result = run_program(program, memory=memory)
         passed = memory.load(OUT, 4) == crc32_reference(data)
     elif name == "sort":
         values = rng.integers(0, 10_000, size=32)
         memory.write_words(DATA, [int(v) for v in values])
         program = assemble(sort_asm(len(values)))
-        _, result = run_pipelined(program, memory=memory)
+        _, result = run_program(program, memory=memory)
         got = memory.read_words(DATA, len(values))
         passed = got == sorted(int(v) for v in values)
     elif name == "fir":
@@ -562,7 +562,7 @@ def run_kernel(name: str, seed: int = 0) -> KernelResult:
         memory.write_words(DATA, [int(v) & 0xFFFFFFFF for v in samples])
         memory.write_words(layout.SCRATCH1_BASE, FIR_TAPS)
         program = assemble(fir_asm(len(samples)))
-        _, result = run_pipelined(program, memory=memory)
+        _, result = run_program(program, memory=memory)
         expected = fir_reference(samples)
         got = memory.read_words(OUT, len(expected))
         passed = got == [int(v) for v in expected]
@@ -570,7 +570,7 @@ def run_kernel(name: str, seed: int = 0) -> KernelResult:
         words = rng.integers(0, 2 ** 32, size=48, dtype=np.uint64)
         memory.write_words(DATA, [int(w) for w in words])
         program = assemble(bitcount_asm(len(words)))
-        _, result = run_pipelined(program, memory=memory)
+        _, result = run_program(program, memory=memory)
         passed = memory.load(OUT, 4) == sum(bin(int(w)).count("1") for w in words)
     elif name == "stringsearch":
         haystack = bytes(rng.integers(97, 123, size=128, dtype=np.uint8))
@@ -579,7 +579,7 @@ def run_kernel(name: str, seed: int = 0) -> KernelResult:
         _write_bytes(memory, DATA, haystack)
         _write_bytes(memory, layout.SCRATCH1_BASE, needle)
         program = assemble(stringsearch_asm(len(haystack), len(needle)))
-        _, result = run_pipelined(program, memory=memory)
+        _, result = run_program(program, memory=memory)
         expected = haystack.find(needle)
         passed = memory.load(OUT, 4) == expected
     elif name == "matmul":
@@ -590,7 +590,7 @@ def run_kernel(name: str, seed: int = 0) -> KernelResult:
         memory.write_words(layout.SCRATCH1_BASE,
                            [int(v) & 0xFFFFFFFF for v in b.reshape(-1)])
         program = assemble(matmul_asm(n))
-        _, result = run_pipelined(program, memory=memory)
+        _, result = run_program(program, memory=memory)
         expected = (a @ b).reshape(-1)
         got = memory.read_words(OUT, n * n)
         passed = got == [int(v) & 0xFFFFFFFF for v in expected]
@@ -600,7 +600,7 @@ def run_kernel(name: str, seed: int = 0) -> KernelResult:
         np.fill_diagonal(adjacency, 0)
         memory.write_words(DATA, [int(v) for v in adjacency.reshape(-1)])
         program = assemble(dijkstra_asm(n))
-        _, result = run_pipelined(program, memory=memory)
+        _, result = run_program(program, memory=memory)
         expected = dijkstra_reference(adjacency)
         got = memory.read_words(OUT, n)
         passed = got == [int(v) for v in expected]
@@ -608,20 +608,20 @@ def run_kernel(name: str, seed: int = 0) -> KernelResult:
         values = rng.integers(0, 100_000, size=48)
         memory.write_words(DATA, [int(v) for v in values])
         program = assemble(quicksort_asm(len(values)))
-        _, result = run_pipelined(program, memory=memory)
+        _, result = run_program(program, memory=memory)
         got = memory.read_words(DATA, len(values))
         passed = got == sorted(int(v) for v in values)
     elif name == "fnv1a":
         data = bytes(rng.integers(0, 256, size=96, dtype=np.uint8))
         _write_bytes(memory, DATA, data)
         program = assemble(fnv1a_asm(len(data)))
-        _, result = run_pipelined(program, memory=memory)
+        _, result = run_program(program, memory=memory)
         passed = memory.load(OUT, 4) == fnv1a_reference(data)
     elif name == "isqrt":
         values = rng.integers(0, 2 ** 31, size=24)
         memory.write_words(DATA, [int(v) for v in values])
         program = assemble(isqrt_asm(len(values)))
-        _, result = run_pipelined(program, memory=memory)
+        _, result = run_program(program, memory=memory)
         expected = isqrt_reference(values)
         got = memory.read_words(OUT, len(values))
         passed = got == expected

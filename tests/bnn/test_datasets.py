@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bnn import Dataset, digit_template, synthetic_mnist, synthetic_motion
+from repro.bnn.datasets import synthetic_keywords
 from repro.errors import ConfigurationError
 
 
@@ -110,3 +111,28 @@ class TestSyntheticMotion:
     def test_mismatched_labels_rejected(self):
         with pytest.raises(ConfigurationError):
             Dataset(images=np.zeros((3, 4)), labels=np.zeros(2), n_classes=2)
+
+
+class TestSyntheticKeywords:
+    def test_shapes(self):
+        ds = synthetic_keywords(n_samples=30)
+        assert ds.signals.shape == (30, 256)
+        assert ds.n_classes == 4
+        assert ds.length == 256
+
+    def test_deterministic(self):
+        a = synthetic_keywords(n_samples=10, seed=4)
+        b = synthetic_keywords(n_samples=10, seed=4)
+        np.testing.assert_array_equal(a.signals, b.signals)
+
+    def test_background_class_is_noise(self):
+        ds = synthetic_keywords(n_samples=400, noise_sigma=0.1)
+        background = ds.signals[ds.labels == 0]
+        keyword = ds.signals[ds.labels == 2]
+        assert np.abs(background).mean() < np.abs(keyword).mean()
+
+    def test_feature_dataset(self):
+        ds = synthetic_keywords(n_samples=20).to_feature_dataset(
+            lambda signal: np.array([signal.mean(), signal.std()]))
+        assert isinstance(ds, Dataset)
+        assert ds.images.shape == (20, 2)

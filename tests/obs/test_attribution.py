@@ -4,7 +4,7 @@ import pytest
 
 from repro.bnn.accelerator import BatchTiming
 from repro.cpu.env import ExecStats
-from repro.engine import EngineCapabilities, ExecutionEngine, engine_names
+from repro.engine import engine_names
 from repro.errors import ObservabilityError
 from repro.obs import (
     INFERENCE,
@@ -149,18 +149,6 @@ class TestAttributeScenarioContracts:
         assert [event["phase"] for event in events] == list(PHASES)
         assert all(event["engine"] == "fast" for event in events)
         assert session.stats.get("obs.runs") == 1
-
-    def test_non_attributing_engine_refused(self):
-        class Bare(ExecutionEngine):
-            name = "bare"
-            capabilities = EngineCapabilities(
-                timing_accurate=False, functional=True,
-                batched=False)
-
-        with use_session(cache_enabled=False):
-            with pytest.raises(ObservabilityError,
-                               match="phase_attribution"):
-                attribute_scenario(bnn_scenario(), engine=Bare())
 
     def test_chained_rejects_cpu_scenarios(self):
         with use_session(cache_enabled=False):

@@ -1,4 +1,4 @@
-"""Differential scenario fuzzing: determinism + engine agreement."""
+"""Differential scenario fuzzing: determinism + agreement of every path."""
 
 import pytest
 
@@ -11,6 +11,12 @@ from repro.scenario.fuzz import (
     run_differential,
 )
 from repro.scenario.schema import Scenario, WorkloadSpec
+
+CPU_SCENARIO = Scenario(
+    name="diff-cpu",
+    workload=WorkloadSpec(kind="cpu", name="dhrystone", layer_sizes=(),
+                          iterations=2),
+    batch_size=1)
 
 
 class TestFuzzerDeterminism:
@@ -61,16 +67,26 @@ class TestDifferential:
             seed=11, batch_size=9)
         result = run_differential(scenario)
         assert result.ok, [str(m) for m in result.mismatches]
-        assert result.engines == ("accurate", "fast")
+        assert result.compared == ("accurate", "fast")
 
-    def test_cpu_scenario_all_engines_agree(self):
-        scenario = Scenario(
-            name="diff-cpu",
-            workload=WorkloadSpec(kind="cpu", name="dhrystone",
-                                  layer_sizes=(), iterations=2),
-            batch_size=1)
-        result = run_differential(scenario)
+    def test_cpu_scenario_runtime_matches_both_oracles(self):
+        result = run_differential(CPU_SCENARIO, engines=("fast",))
         assert result.ok, [str(m) for m in result.mismatches]
+        # whatever the engines, CPU runs compare the runtime to the
+        # pipeline and the ISS
+        assert result.compared == ("pipeline", "runtime", "iss")
+
+    def test_cpu_cycle_drift_is_a_mismatch(self, monkeypatch):
+        import repro.cpu.fastpath as fastpath
+
+        monkeypatch.setattr(fastpath, "TAKEN_PENALTY", 3)
+        result = run_differential(CPU_SCENARIO)
+        fields = {(m.field, m.engine) for m in result.mismatches}
+        assert ("cycles", "runtime") in fields
+        assert ("flushes", "runtime") in fields
+        # architectural state still agrees, and the ISS has no cycles
+        assert all(m.engine == "runtime" for m in result.mismatches)
+        assert "registers" not in {m.field for m in result.mismatches}
 
     def test_small_fuzz_run_all_agree(self):
         results = fuzz(count=6, seed=0)
@@ -94,7 +110,7 @@ class TestDifferential:
         assert document["mismatches"] == []
 
     def test_mismatches_flip_ok(self):
-        result = DifferentialResult(scenario=Scenario(), engines=("a", "b"))
+        result = DifferentialResult(scenario=Scenario(), compared=("a", "b"))
         assert result.ok
         result.mismatches.append(
             Mismatch(field="pc", engine="b", reference_engine="a",

@@ -21,7 +21,7 @@ def full_scenario() -> Scenario:
         name="everything",
         workload=WorkloadSpec(kind="bnn", name="synthetic",
                               layer_sizes=(784, 64, 33, 10), iterations=3),
-        engine=EngineSpec(name="fast", prefer_functional=True),
+        engine=EngineSpec(name="fast"),
         seed=1234,
         batch_size=48,
         batch_policy="stream",
@@ -87,7 +87,8 @@ REJECTIONS = [
      "scenario.workload.layer_sizes"),
     ({"workload": {"iterations": 0}}, "scenario.workload.iterations"),
     ({"engine": {"name": "warp-drive"}}, "scenario.engine.name"),
-    ({"engine": {"prefer_functional": "yes"}},
+    # the retired ISS switch is an unknown field now
+    ({"engine": {"prefer_functional": False}},
      "scenario.engine.prefer_functional"),
     ({"device": {"vdd": 0.2}}, "scenario.device.vdd"),
     ({"device": {"vdd": 1.2}}, "scenario.device.vdd"),
@@ -201,7 +202,6 @@ class TestHashing:
         base = full_scenario()
         hashes = {base.with_engine(name=name).hash
                   for name in engine_names()}
-        hashes.add(base.with_engine(prefer_functional=False).hash)
         assert hashes == {base.hash}
 
     def test_identity_dict_excludes_engine_and_serve_only(self):
@@ -227,12 +227,6 @@ class TestDerivedViews:
     def test_with_engine_overrides_name(self):
         scenario = full_scenario().with_engine(name="accurate")
         assert scenario.engine.name == "accurate"
-        assert scenario.engine.prefer_functional  # preserved
-
-    def test_with_engine_overrides_functional_flag(self):
-        scenario = full_scenario().with_engine(prefer_functional=False)
-        assert scenario.engine.name == "fast"  # preserved
-        assert not scenario.engine.prefer_functional
 
     def test_with_overrides_revalidates(self):
         with pytest.raises(ConfigurationError, match="scenario.seed"):

@@ -62,10 +62,20 @@ class TestRun:
         assert "ipc=" in out
         assert "x12=        12" in out
 
-    def test_run_functional(self, source_file, capsys):
-        assert main(["run", source_file, "--functional"]) == 0
+    def test_functional_flag_is_retired(self, source_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", source_file, "--functional"])
+        assert "--functional" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_max_cycles_is_a_cycle_budget(self, tmp_path, capsys, traced):
+        path = tmp_path / "loop.s"
+        path.write_text("loop: j loop")
+        # --trace runs the per-cycle pipeline, otherwise the runtime runs
+        extra = ["--trace", str(tmp_path / "t.json")] if traced else []
+        assert main(["run", str(path), "--max-cycles", "57", *extra]) == 1
         out = capsys.readouterr().out
-        assert "instructions=4" in out
+        assert "stop: max_cycles" in out and "cycles=57 " in out
 
     def test_run_nonhalting_returns_failure(self, tmp_path, capsys):
         path = tmp_path / "loop.s"
@@ -74,10 +84,11 @@ class TestRun:
 
 
 class TestRunEngine:
-    def test_fast_engine_matches_functional_output(self, source_file, capsys):
+    def test_engine_does_not_change_program_runs(self, source_file, capsys):
         assert main(["run", source_file, "--engine", "fast", "--regs"]) == 0
         fast_out = capsys.readouterr().out
-        assert main(["run", source_file, "--functional", "--regs"]) == 0
+        assert main(["run", source_file, "--engine", "accurate",
+                     "--regs"]) == 0
         accurate_out = capsys.readouterr().out
         assert "instructions=4" in fast_out
         assert fast_out == accurate_out  # identical regs, cycles, stop line
@@ -93,11 +104,15 @@ class TestRunEngine:
                                          monkeypatch):
         from repro.sim import reset_session
 
+        from repro.sim import get_session
+
         monkeypatch.setenv("REPRO_ENGINE", "fast")
         reset_session()
         try:
             assert main(["run", source_file]) == 0
-            assert "cycles=4 " in capsys.readouterr().out
+            assert get_session().config.engine == "fast"
+            # programs keep the pipeline's timing on every engine
+            assert "cycles=4 " not in capsys.readouterr().out
         finally:
             reset_session()
 
@@ -226,25 +241,20 @@ class TestInfoAndExperiments:
     def test_info_json_reports_engine_registry(self, capsys):
         import json
 
-        from repro.engine import engine_names, engine_table
+        from repro.engine import engine_names, get_engine
         from repro.sim import get_session
 
         assert main(["info", "--json"]) == 0
         engines = json.loads(capsys.readouterr().out)["engines"]
         assert engines["active"] == get_session().config.engine
-        assert [e["name"] for e in engines["registered"]] == \
-            list(engine_names())
-        assert engines["registered"] == engine_table()
-        by_name = {e["name"]: e for e in engines["registered"]}
-        assert by_name["accurate"]["capabilities"]["timing_accurate"]
-        assert by_name["fast"]["capabilities"]["batched"]
-        for name in ("accurate", "fast"):
-            assert by_name[name]["capabilities"]["phase_attribution"]
+        assert engines["registered"] == [
+            {"name": name, "description": get_engine(name).description}
+            for name in engine_names()]
 
     def test_info_text_lists_engines(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
-        assert "execution engines" in out
+        assert "BNN engines" in out
         for name in ("accurate", "fast"):
             assert name in out
 
@@ -511,7 +521,7 @@ class TestRunScenario:
         doc = json.loads(capsys.readouterr().out)
         recorded = doc["benchmarks"]["cpu.fastpath.dhrystone"]["scenario"]
         assert recorded["workload"]["name"] == "dhrystone"
-        assert recorded["engine"]["name"] == "fast"
+        assert recorded["workload"]["kind"] == "cpu"
 
     def test_bench_bad_engine_env_fails_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "warp")
@@ -541,6 +551,15 @@ class TestFuzzCli:
         assert main(["fuzz", "--count", "2", "--seed", "0", "--kind",
                      "cpu", "--engines", "accurate", "fast"]) == 0
         assert "[accurate, fast]" in capsys.readouterr().out
+
+    def test_fuzz_engines_apply_to_bnn_scenarios_only(self, capsys):
+        import json
+
+        assert main(["fuzz", "--count", "2", "--seed", "0", "--kind",
+                     "cpu", "--engines", "fast", "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert [entry["compared"] for entry in entries] == \
+            [["pipeline", "runtime", "iss"]] * 2
 
     def test_fuzz_rejects_unknown_engine(self, capsys):
         assert main(["fuzz", "--count", "1", "--engines", "warp"]) == 2

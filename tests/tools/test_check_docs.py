@@ -100,53 +100,6 @@ class TestCliExampleCheck:
         assert len(problems) == 1
 
 
-class TestEngineTableCheck:
-    def test_repo_table_in_sync(self, check_docs):
-        assert check_docs.check_engine_table() == []
-
-    def test_parser_reads_names_and_flags(self, check_docs):
-        rows = check_docs.documented_engine_table(
-            "### Engine registry\n\n"
-            "| engine | timing_accurate | functional | batched "
-            "| phase_attribution |\n"
-            "|---|---|---|---|---|\n"
-            "| `accurate` | yes | yes | no | yes |\n"
-            "| `fast` | no | yes | yes | yes |\n\n"
-            "prose after the table | with a stray pipe\n")
-        assert set(rows) == {"accurate", "fast"}
-        assert rows["accurate"] == {"timing_accurate": True,
-                                    "functional": True,
-                                    "batched": False,
-                                    "phase_attribution": True}
-        assert rows["fast"]["batched"] is True
-
-    def test_missing_table_reported(self, check_docs, tmp_path, monkeypatch):
-        empty = tmp_path / "ARCHITECTURE.md"
-        empty.write_text("no engine table here\n")
-        monkeypatch.setattr(check_docs, "ARCHITECTURE", empty)
-        problems = check_docs.check_engine_table()
-        assert problems and "not found" in problems[0]
-
-    def test_stale_table_reported(self, check_docs, tmp_path, monkeypatch):
-        stale = tmp_path / "ARCHITECTURE.md"
-        stale.write_text(
-            "### Engine registry\n\n"
-            "| engine | timing_accurate | functional | batched "
-            "| phase_attribution |\n"
-            "|---|---|---|---|---|\n"
-            "| `accurate` | no | yes | no | yes |\n"
-            "| `warp` | no | yes | yes | yes |\n")
-        monkeypatch.setattr(check_docs, "ARCHITECTURE", stale)
-        problems = check_docs.check_engine_table()
-        # fast registered but undocumented
-        assert any("`fast`" in p and "missing from" in p for p in problems)
-        # warp documented but not registered
-        assert any("`warp`" in p and "not registered" in p for p in problems)
-        # accurate documented with a wrong flag
-        assert any("`accurate`" in p and "timing_accurate" in p
-                   for p in problems)
-
-
 class TestScenarioTableCheck:
     def test_repo_tables_in_sync(self, check_docs):
         assert check_docs.check_scenario_tables() == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Documentation lint: links, CLI examples, engine/scenario/registry tables.
+"""Documentation lint: links, CLI examples, scenario/registry tables.
 
-Eight checks, each cheap enough for every CI run (the probe event table
+Seven checks, each cheap enough for every CI run (the probe event table
 is enforced by ``tests/test_probe_vocabulary.py``, which runs on every
 push):
 
@@ -12,25 +12,21 @@ push):
    inside a fenced ```bash/```console block of README.md and docs/*.md is
    parsed against the *real* argparse tree (``repro.cli.build_parser``), so
    documented flags can never drift from the implementation.
-3. **Engine registry table** — the "### Engine registry" table in
-   docs/ARCHITECTURE.md must list exactly the engines registered in
-   ``repro.engine`` with their live capability flags, so registering a
-   new backend (or changing flags) forces the docs to follow.
-4. **Scenario field tables** — every field table in docs/SCENARIOS.md
+3. **Scenario field tables** — every field table in docs/SCENARIOS.md
    must list exactly the fields of the matching dataclass in
    ``repro.scenario.schema``, so adding or removing a scenario
    dimension forces the schema reference to follow.
-5. **Phase vocabulary table** — the "### Phase vocabulary" table in
+4. **Phase vocabulary table** — the "### Phase vocabulary" table in
    docs/OBSERVABILITY.md must list exactly ``repro.obs.PHASES`` in
    order, so renaming or adding an attribution phase forces the
    observability reference to follow.
-6. **Serve metric table** — the "## Serve metric families" table in
+5. **Serve metric table** — the "## Serve metric families" table in
    docs/SERVING.md must list exactly ``repro.serve.SERVE_METRIC_HELP``.
-7. **Kernel handbook** — the constants table in docs/KERNELS.md must
+6. **Kernel handbook** — the constants table in docs/KERNELS.md must
    match the live source constants (each ``module.CONSTANT`` row is
    imported and compared), and its engine decision table must cover
-   exactly the engines registered in ``repro.engine``.
-8. **Device profile table** — the "## Profile registry" table in
+   exactly the engines of ``repro.engine``.
+7. **Device profile table** — the "## Profile registry" table in
    docs/DEVICES.md must list exactly the profiles registered in
    ``repro.power`` with their live technology/voltage/frequency/
    geometry values and capability flags, so registering a new device
@@ -53,7 +49,6 @@ from typing import Dict, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
-ARCHITECTURE = REPO_ROOT / "docs" / "ARCHITECTURE.md"
 
 #: markdown files whose fenced shell blocks must contain valid repro CLI
 #: invocations (the link check covers every markdown file)
@@ -208,67 +203,7 @@ def check_cli_examples(files: List[Path]) -> List[str]:
     return problems
 
 
-# -- check 3: engine registry table --------------------------------------
-ENGINE_TABLE_ANCHOR = "### Engine registry"
-
-#: capability columns of the docs table, in order
-ENGINE_FLAG_COLUMNS = ("timing_accurate", "functional", "batched",
-                       "phase_attribution")
-
-_ENGINE_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_-]+)`\s*\|(.+)\|\s*$")
-
-
-def documented_engine_table(text: str) -> Dict[str, Dict[str, bool]]:
-    """``{engine name: {flag: bool}}`` parsed from the docs table."""
-    if ENGINE_TABLE_ANCHOR not in text:
-        return {}
-    rows: Dict[str, Dict[str, bool]] = {}
-    for line in text.split(ENGINE_TABLE_ANCHOR, 1)[1].splitlines():
-        match = _ENGINE_ROW_RE.match(line.strip())
-        if match:
-            cells = [cell.strip() for cell in match.group(2).split("|")]
-            rows[match.group(1)] = {
-                flag: cell == "yes"
-                for flag, cell in zip(ENGINE_FLAG_COLUMNS, cells)}
-        elif rows and not line.strip().startswith("|"):
-            break
-    return rows
-
-
-def check_engine_table() -> List[str]:
-    sys.path.insert(0, str(SRC))
-    try:
-        from repro.engine import engine_table
-    finally:
-        sys.path.pop(0)
-    documented = documented_engine_table(ARCHITECTURE.read_text())
-    if not documented:
-        return [f"{ARCHITECTURE.name}: engine registry table "
-                f"('{ENGINE_TABLE_ANCHOR}') not found"]
-    problems = []
-    registered = {entry["name"]: entry["capabilities"]
-                  for entry in engine_table()}
-    for name in sorted(set(registered) - set(documented)):
-        problems.append(
-            f"engine `{name}` is registered but missing from the "
-            "docs/ARCHITECTURE.md engine registry table")
-    for name in sorted(set(documented) - set(registered)):
-        problems.append(
-            f"engine `{name}` documented in docs/ARCHITECTURE.md but not "
-            "registered in repro.engine")
-    for name in sorted(set(registered) & set(documented)):
-        for flag in ENGINE_FLAG_COLUMNS:
-            live, documented_value = registered[name][flag], \
-                documented[name].get(flag)
-            if documented_value != live:
-                problems.append(
-                    f"engine `{name}`: docs table says {flag}="
-                    f"{'yes' if documented_value else 'no'} but the "
-                    f"registry says {'yes' if live else 'no'}")
-    return problems
-
-
-# -- check 4: scenario field tables --------------------------------------
+# -- check 3: scenario field tables --------------------------------------
 SCENARIOS_MD = REPO_ROOT / "docs" / "SCENARIOS.md"
 
 #: (docs/SCENARIOS.md table anchor, repro.scenario.schema class name)
@@ -329,7 +264,7 @@ def check_scenario_tables() -> List[str]:
     return problems
 
 
-# -- check 5: observability phase table ----------------------------------
+# -- check 4: observability phase table ----------------------------------
 OBSERVABILITY_MD = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 
 PHASE_TABLE_ANCHOR = "### Phase vocabulary"
@@ -380,7 +315,7 @@ def check_phase_table() -> List[str]:
     return problems
 
 
-# -- check 6: serve metric table -----------------------------------------
+# -- check 5: serve metric table -----------------------------------------
 SERVING_MD = REPO_ROOT / "docs" / "SERVING.md"
 
 SERVE_METRIC_TABLE_ANCHOR = "## Serve metric families"
@@ -426,7 +361,7 @@ def check_serve_metric_table() -> List[str]:
     return problems
 
 
-# -- check 7: kernel handbook --------------------------------------------
+# -- check 6: kernel handbook --------------------------------------------
 KERNELS_MD = REPO_ROOT / "docs" / "KERNELS.md"
 
 KERNEL_CONSTANTS_ANCHOR = "## Kernel layout constants"
@@ -524,7 +459,7 @@ def check_kernel_handbook() -> List[str]:
     return problems
 
 
-# -- check 8: device profile registry table ------------------------------
+# -- check 7: device profile registry table ------------------------------
 DEVICES_MD = REPO_ROOT / "docs" / "DEVICES.md"
 
 PROFILE_TABLE_ANCHOR = "## Profile registry"
@@ -606,9 +541,8 @@ def check_profile_table() -> List[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="check_docs",
-        description="lint markdown links, CLI examples, the engine "
-                    "registry table, the scenario field tables, and the "
-                    "device profile table")
+        description="lint markdown links, CLI examples, the scenario "
+                    "field tables, and the device profile table")
     parser.add_argument("--quiet", action="store_true",
                         help="print only failures")
     args = parser.parse_args(argv)
@@ -616,7 +550,6 @@ def main(argv=None) -> int:
     files = markdown_files()
     problems = check_links(files)
     problems += check_cli_examples(files)
-    problems += check_engine_table()
     problems += check_scenario_tables()
     problems += check_phase_table()
     problems += check_serve_metric_table()
@@ -629,7 +562,7 @@ def main(argv=None) -> int:
         return 1
     if not args.quiet:
         print(f"docs ok: {len(files)} markdown files, links + CLI examples "
-              "+ engine table + scenario tables + phase "
+              "+ scenario tables + phase "
               "table + serve metric table + kernel handbook + device "
               "profile table all consistent")
     return 0
