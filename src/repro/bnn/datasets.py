@@ -116,19 +116,32 @@ def synthetic_mnist(
         seed: RNG seed (deterministic dataset).
     """
     rng = np.random.default_rng(seed)
-    templates = [digit_template(d, size=size) for d in range(10)]
-    images = np.empty((n_samples, size * size))
+    templates = np.array([digit_template(d, size=size) for d in range(10)])
     labels = rng.integers(0, 10, size=n_samples)
-    for index, label in enumerate(labels):
-        image = templates[label]
-        dr, dc = rng.integers(-max_shift, max_shift + 1, size=2)
-        image = np.roll(np.roll(image, dr, axis=0), dc, axis=1)
-        flips = rng.random((size, size)) < noise_flip
-        image = np.abs(image - flips)  # flip pixels
-        # mild amplitude jitter keeps the data non-trivially analog
-        image = np.clip(image * rng.uniform(0.7, 1.0) + rng.uniform(0, 0.15), 0, 1)
-        images[index] = image.reshape(-1)
-    return Dataset(images=images, labels=labels.astype(np.int64), n_classes=10,
+    # per-sample draws, in the generator's order: shift, flip mask, gain,
+    # offset; the image arithmetic then runs once over the whole batch
+    shifts = np.empty((n_samples, 2), dtype=np.int64)
+    flips = np.empty((n_samples, size, size), dtype=bool)
+    gains = np.empty(n_samples)
+    offsets = np.empty(n_samples)
+    for index in range(n_samples):
+        shifts[index] = rng.integers(-max_shift, max_shift + 1, size=2)
+        flips[index] = rng.random((size, size)) < noise_flip
+        gains[index] = rng.uniform(0.7, 1.0)
+        offsets[index] = rng.uniform(0, 0.15)
+    # np.roll by (dr, dc) as one gather: image[r, c] = template[r - dr, c - dc]
+    pixels = np.arange(size)
+    rows = (pixels - shifts[:, :1]) % size
+    cols = (pixels - shifts[:, 1:]) % size
+    images = templates[labels[:, None, None], rows[:, :, None], cols[:, None, :]]
+    images -= flips  # flip pixels
+    np.abs(images, out=images)
+    # mild amplitude jitter keeps the data non-trivially analog
+    images *= gains[:, None, None]
+    images += offsets[:, None, None]
+    np.clip(images, 0, 1, out=images)
+    return Dataset(images=images.reshape(n_samples, size * size),
+                   labels=labels.astype(np.int64), n_classes=10,
                    name="synthetic-mnist")
 
 
@@ -167,6 +180,17 @@ def synthetic_motion(
         traces[index] = noisy
     return MotionDataset(traces=traces, labels=labels.astype(np.int64),
                          n_classes=_MOTION_CLASSES)
+
+
+def min_max_normalize(features: np.ndarray) -> np.ndarray:
+    """Scale each feature column to [0, 1] over the samples.
+
+    A constant column has zero span and maps to 0.
+    """
+    lo = features.min(axis=0, keepdims=True)
+    hi = features.max(axis=0, keepdims=True)
+    span = np.where(hi - lo == 0, 1.0, hi - lo)
+    return (features - lo) / span
 
 
 #: keyword-spotting stand-in: classes of 1-D "audio" bursts
@@ -226,11 +250,7 @@ class AudioDataset:
     def to_feature_dataset(self, extractor) -> Dataset:
         """Run ``extractor(signal) -> feature vector`` over every sample."""
         features = np.array([extractor(signal) for signal in self.signals])
-        lo = features.min(axis=0, keepdims=True)
-        hi = features.max(axis=0, keepdims=True)
-        span = np.where(hi - lo == 0, 1.0, hi - lo)
-        normalized = (features - lo) / span
-        return Dataset(images=normalized, labels=self.labels,
+        return Dataset(images=min_max_normalize(features), labels=self.labels,
                        n_classes=self.n_classes, name="synthetic-keywords")
 
 
@@ -260,9 +280,5 @@ class MotionDataset:
         motion use case (:mod:`repro.workloads.motion_features`).
         """
         features = np.array([extractor(trace) for trace in self.traces])
-        lo = features.min(axis=0, keepdims=True)
-        hi = features.max(axis=0, keepdims=True)
-        span = np.where(hi - lo == 0, 1.0, hi - lo)
-        normalized = (features - lo) / span
-        return Dataset(images=normalized, labels=self.labels,
+        return Dataset(images=min_max_normalize(features), labels=self.labels,
                        n_classes=self.n_classes, name="synthetic-motion")

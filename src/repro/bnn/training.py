@@ -34,26 +34,56 @@ class TrainingHistory:
     train_accuracy: List[float] = field(default_factory=list)
 
 
+def _sign_into(values: np.ndarray, mask: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """``np.where(values >= 0, 1.0, -1.0)`` written into reused buffers.
+
+    ``mask`` (bool) and ``out`` (float64) have the shape of ``values``.
+    The values are identical to the ``np.where`` form, ``-0.0`` (to +1)
+    and NaN (to -1) included.
+    """
+    np.greater_equal(values, 0, out=mask)
+    np.multiply(mask, 2.0, out=out)
+    out -= 1.0
+    return out
+
+
 class _Adam:
-    """Minimal Adam optimizer for a list of parameter arrays."""
+    """Minimal Adam optimizer that updates its parameter arrays in place.
+
+    Each step evaluates the textbook update ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g**2``, ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``
+    with the same float64 operations in the same order; only the
+    temporaries are replaced by two scratch buffers per parameter, so the
+    results are bit-identical to the out-of-place form.
+    """
 
     def __init__(self, params: List[np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
     def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
         self.t += 1
         correction1 = 1 - self.beta1 ** self.t
         correction2 = 1 - self.beta2 ** self.t
-        for index, (param, grad) in enumerate(zip(params, grads)):
-            self.m[index] = self.beta1 * self.m[index] + (1 - self.beta1) * grad
-            self.v[index] = self.beta2 * self.v[index] + (1 - self.beta2) * grad ** 2
-            m_hat = self.m[index] / correction1
-            v_hat = self.v[index] / correction2
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for param, grad, m, v, (update, denom) in zip(
+                params, grads, self.m, self.v, self._scratch):
+            m *= self.beta1
+            m += np.multiply(grad, 1 - self.beta1, out=update)
+            v *= self.beta2
+            np.square(grad, out=denom)
+            v += np.multiply(denom, 1 - self.beta2, out=denom)
+            np.divide(m, correction1, out=update)
+            update *= self.lr
+            np.divide(v, correction2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            param -= update
 
 
 class BNNTrainer:
@@ -79,22 +109,21 @@ class BNNTrainer:
         self._ste_clip = [np.sqrt(fan_in) for fan_in in layer_sizes[:-1]]
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _sign(values: np.ndarray) -> np.ndarray:
-        return np.where(values >= 0, 1.0, -1.0)
-
-    def _forward(self, x: np.ndarray):
-        """Forward pass; returns (activations, pre_activations)."""
+    def _forward(self, x: np.ndarray, w_bins: List[np.ndarray]):
+        """Forward pass with binarized weights; returns (layer inputs,
+        pre-activations)."""
         activations = [x]
         pres = []
         current = x
-        last = len(self.shadow) - 1
-        for index, (shadow, bias) in enumerate(zip(self.shadow, self.bias)):
-            w_bin = self._sign(shadow)
-            pre = current @ w_bin.T + bias
+        last = len(w_bins) - 1
+        for index, (w_bin, bias) in enumerate(zip(w_bins, self.bias)):
+            pre = current @ w_bin.T
+            pre += bias
             pres.append(pre)
-            current = pre if index == last else self._sign(pre)
-            activations.append(current)
+            if index < last:
+                current = _sign_into(pre, np.empty(pre.shape, dtype=bool),
+                                     np.empty_like(pre))
+                activations.append(current)
         return activations, pres
 
     def train(
@@ -114,6 +143,15 @@ class BNNTrainer:
                 f"input shape {x.shape} does not match input size "
                 f"{self.layer_sizes[0]}"
             )
+        if len(x) == 0:
+            raise ConfigurationError("no training samples")
+        if y.shape != (len(x),):
+            raise ConfigurationError(
+                f"labels of shape {y.shape} for {len(x)} samples")
+        if batch_size < 1:
+            raise ConfigurationError(f"batch_size {batch_size} must be >= 1")
+        if epochs < 0:
+            raise ConfigurationError(f"epochs {epochs} must be >= 0")
         n_classes = self.layer_sizes[-1]
         if y.min() < 0 or y.max() >= n_classes:
             raise ConfigurationError("labels out of range for the output layer")
@@ -121,6 +159,14 @@ class BNNTrainer:
         rng = np.random.default_rng(seed)
         history = TrainingHistory()
         scale = 1.0 / np.sqrt(self.layer_sizes[-2])
+        params = self.shadow + self.bias
+        # each shadow matrix is binarized once per mini-batch into these
+        # buffers, which the forward and backward passes share
+        masks = [np.empty(shadow.shape, dtype=bool) for shadow in self.shadow]
+        w_bins = [np.empty_like(shadow) for shadow in self.shadow]
+        grads_w = [np.empty_like(shadow) for shadow in self.shadow]
+        grads_b = [np.empty_like(bias) for bias in self.bias]
+        grads = grads_w + grads_b
 
         for _ in range(epochs):
             order = rng.permutation(len(x))
@@ -129,7 +175,9 @@ class BNNTrainer:
             for start in range(0, len(x), batch_size):
                 batch = order[start:start + batch_size]
                 xb, yb = x[batch], y[batch]
-                activations, pres = self._forward(xb)
+                for shadow, mask, w_bin in zip(self.shadow, masks, w_bins):
+                    _sign_into(shadow, mask, w_bin)
+                activations, pres = self._forward(xb, w_bins)
                 scores = pres[-1] * scale
                 scores -= scores.max(axis=1, keepdims=True)
                 exp = np.exp(scores)
@@ -144,20 +192,16 @@ class BNNTrainer:
                 grad[np.arange(batch_n), yb] -= 1.0
                 grad *= scale / batch_n
 
-                grads_w: List[np.ndarray] = [None] * len(self.shadow)
-                grads_b: List[np.ndarray] = [None] * len(self.bias)
                 for index in reversed(range(len(self.shadow))):
-                    w_bin = self._sign(self.shadow[index])
-                    grads_w[index] = grad.T @ activations[index]
-                    grads_b[index] = grad.sum(axis=0)
+                    np.matmul(grad.T, activations[index], out=grads_w[index])
+                    grad.sum(axis=0, out=grads_b[index])
                     if index > 0:
-                        grad_in = grad @ w_bin
-                        clip = self._ste_clip[index]
-                        grad = grad_in * (np.abs(pres[index - 1]) <= clip)
-                self._optimizer.step(self.shadow + self.bias, grads_w + grads_b)
-                for index in range(len(self.shadow)):
-                    np.clip(self.shadow[index], -1.0, 1.0,
-                            out=self.shadow[index])
+                        grad = grad @ w_bins[index]
+                        grad *= (np.abs(pres[index - 1])
+                                 <= self._ste_clip[index])
+                self._optimizer.step(params, grads)
+                for shadow in self.shadow:
+                    np.clip(shadow, -1.0, 1.0, out=shadow)
 
             epoch_loss /= len(x)
             if not np.isfinite(epoch_loss):
@@ -174,7 +218,7 @@ class BNNTrainer:
         layers = []
         for shadow, bias in zip(self.shadow, self.bias):
             layers.append(BNNLayer(
-                weights=self._sign(shadow).astype(np.int8),
+                weights=np.where(shadow >= 0, 1, -1).astype(np.int8),
                 bias=np.round(bias).astype(np.int32),
             ))
         return BNNModel(layers)

@@ -20,9 +20,11 @@ from repro.bnn import (
     BNNAccelerator,
     BNNModel,
     BNNTrainer,
+    Dataset,
     synthetic_mnist,
     synthetic_motion,
 )
+from repro.bnn.datasets import min_max_normalize
 from repro.core import Item
 from repro.cpu import FlatMemory, run_program
 from repro.isa import assemble
@@ -102,7 +104,11 @@ def motion_artifacts(epochs: int = 18, n_samples: int = 3000) -> MotionArtifacts
 
 def _train_motion_artifacts(epochs: int, n_samples: int) -> MotionArtifacts:
     raw = synthetic_motion(n_samples=n_samples, seed=0)
-    dataset = raw.to_feature_dataset(mf.float_features)
+    # one feature pass feeds both the training set and the thresholds
+    feature_matrix = np.array([mf.float_features(t) for t in raw.traces])
+    dataset = Dataset(images=min_max_normalize(feature_matrix),
+                      labels=raw.labels, n_classes=raw.n_classes,
+                      name="synthetic-motion")
     train, test = dataset.split(0.8)
     trainer = BNNTrainer(
         [dataset.n_features, 100, 100, 100, raw.n_classes],
@@ -112,8 +118,6 @@ def _train_motion_artifacts(epochs: int, n_samples: int) -> MotionArtifacts:
                   batch_size=64)
     model = trainer.export_model()
     accuracy = model.accuracy(test.binarized(), test.labels)
-
-    feature_matrix = np.array([mf.float_features(t) for t in raw.traces])
     thresholds = mf.training_thresholds(feature_matrix)
     return MotionArtifacts(model=model, test_accuracy=accuracy,
                            thresholds=thresholds)

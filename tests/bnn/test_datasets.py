@@ -1,11 +1,21 @@
 """Tests for the synthetic dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.bnn import Dataset, digit_template, synthetic_mnist, synthetic_motion
-from repro.bnn.datasets import synthetic_keywords
+from repro.bnn.datasets import min_max_normalize, synthetic_keywords
 from repro.errors import ConfigurationError
+from repro.workloads import motion_features as mf
+
+
+def _sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
 
 
 class TestDigitTemplate:
@@ -68,6 +78,22 @@ class TestSyntheticMnist:
         t2, _ = ds.split(0.5, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(t1.labels, t2.labels)
 
+    @pytest.mark.parametrize("n_samples, seed, expected", [
+        (64, 7, "cb6c412cdd9ffeecdc47420ecb7fc11d"
+                "21703a70a9454d620882b54f28619588"),
+        (300, 3, "7e6dab2cf23b8d55b9790948b0eeafff"
+                 "9b328daa9c6dc2ff6a6209b38577d46c"),
+    ])
+    def test_golden_digest(self, n_samples, seed, expected):
+        # pinned from the per-sample generator; the batched one must
+        # reproduce every image bit and label
+        ds = synthetic_mnist(n_samples=n_samples, seed=seed)
+        assert _sha256(ds.images, ds.labels) == expected
+
+    def test_empty(self):
+        ds = synthetic_mnist(n_samples=0)
+        assert ds.images.shape == (0, 256) and len(ds) == 0
+
     def test_images_look_like_digits(self):
         # with low noise, samples correlate best with their own template
         ds = synthetic_mnist(n_samples=200, noise_flip=0.01, max_shift=0)
@@ -108,6 +134,13 @@ class TestSyntheticMotion:
         assert ds.images.shape == (30, 6)
         assert ds.images.min() >= 0 and ds.images.max() <= 1
 
+    def test_motion_feature_golden_digest(self):
+        ds = synthetic_motion(n_samples=40, seed=0).to_feature_dataset(
+            mf.float_features)
+        assert _sha256(ds.images, ds.labels) == (
+            "f9ec76ef706dcff8a37ffa47d2fcce72"
+            "4a35638430fc431c9c6332f1b58c0df3")
+
     def test_mismatched_labels_rejected(self):
         with pytest.raises(ConfigurationError):
             Dataset(images=np.zeros((3, 4)), labels=np.zeros(2), n_classes=2)
@@ -136,3 +169,19 @@ class TestSyntheticKeywords:
             lambda signal: np.array([signal.mean(), signal.std()]))
         assert isinstance(ds, Dataset)
         assert ds.images.shape == (20, 2)
+
+    def test_feature_golden_digest(self):
+        # a constant feature column exercises the zero-span guard
+        ds = synthetic_keywords(n_samples=30, seed=0).to_feature_dataset(
+            lambda s: np.array([s.mean(), s.std(), 0.0]))
+        assert _sha256(ds.images, ds.labels) == (
+            "86c84c14f227b1abe86130d1971283f2"
+            "955626168cdddbbcebbee920c537021e")
+
+
+class TestMinMaxNormalize:
+    def test_columns_span_unit_interval(self):
+        features = np.array([[1.0, 5.0], [3.0, 5.0], [2.0, 5.0]])
+        np.testing.assert_array_equal(
+            min_max_normalize(features),
+            [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
